@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .enumeration import coatoms, iter_partitions
-from .partitions import Partition, comparable, diag, effective_cap
+from .enumeration import atoms, coatoms, iter_partitions
+from .partitions import Partition, comparable, effective_cap
 
 ANTICHAIN_CAP = 10
 
@@ -68,7 +68,7 @@ def doubleton_antichain(n: int) -> list[Partition]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return [diag((i, j), n) for i in range(n) for j in range(i + 1, n)]
+    return atoms(n)
 
 
 def bipartition_antichain(n: int) -> list[Partition]:

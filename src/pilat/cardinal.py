@@ -638,20 +638,28 @@ class _Parser:
             self.take("(")
             shp = self.shape(model)
             self.take(")")
-            res = complement_count_symbolic(shp, model)
-        else:
-            res = self.cardinal(model)
-        if self.peek() is not None:
-            raise ValueError(f"trailing input near {self.peek()!r}")
-        return res
+            return complement_count_symbolic(shp, model)
+        return self.cardinal(model)
+
+
+def _parse(text: str, rule):
+    """Run ``rule`` on a parser over the whole of ``text``.
+
+    The parser recurses on every nesting level, so input nested beyond the
+    interpreter's recursion limit is rejected as bad input.
+    """
+    p = _Parser(text)
+    try:
+        res = rule(p)
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
+    if p.peek() is not None:
+        raise ValueError(f"trailing input near {p.peek()!r}")
+    return res
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    p = _Parser(text)
-    o = p.ordinal()
-    if p.peek() is not None:
-        raise ValueError(f"trailing input near {p.peek()!r}")
-    return o
+    return _parse(text, _Parser.ordinal)
 
 
 def evaluate(text: str, model: ContinuumModel = GCH):
@@ -660,4 +668,4 @@ def evaluate(text: str, model: ContinuumModel = GCH):
     Grammar: fin(INT), aleph(ORD), pow(C, C), cf(C),
     complements(shape(full=INT, kappa=C, lambda=C)); ordinals use w, ^, *, +.
     """
-    return _Parser(text).expression(model)
+    return _parse(text, lambda p: p.expression(model))

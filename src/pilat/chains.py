@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import Partition, bottom, covers, diag, effective_cap, ground_cap, top
+from .partitions import (Partition, _mask_elements, _trusted, bottom, covers, diag,
+                         effective_cap, ground_cap, top)
 
 MAXCHAIN_CAP = 6
 KEYFRAME_CAP = 7
@@ -142,16 +143,7 @@ def lift_subset_chain(sets: Sequence[Iterable[int]], n: int) -> list[Partition]:
     for a, b in zip(masks, masks[1:]):
         if a == b or a & ~b:
             raise ValueError("subsets must be strictly increasing")
-    return [diag(_bits(m), n) for m in masks]
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return [diag(_mask_elements(m), n) for m in masks]
 
 
 @dataclass(frozen=True)
@@ -170,8 +162,9 @@ class KeyframePlan:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be non-negative")
-        if (1 << self.k) > ground_cap():
-            raise ValueError(f"2^{self.k} elements exceed the ground cap {ground_cap()}")
+        cap = ground_cap()
+        if (1 << self.k) > cap:
+            raise ValueError(f"2^{self.k} elements exceed the ground cap {cap}")
 
     @property
     def n(self) -> int:
@@ -185,7 +178,7 @@ class KeyframePlan:
         """2^level blocks of consecutive elements; level k is bottom."""
         if not 0 <= level <= self.k:
             raise ValueError(f"level {level} outside 0..{self.k}")
-        return Partition(self.n, (self._range_block(level, p) for p in range(1 << level)))
+        return _trusted(self.n, (self._range_block(level, p) for p in range(1 << level)))
 
     def inbetween(self, level: int, split_count: int) -> Partition:
         """Keyframe at ``level`` with its first ``split_count`` blocks split."""
@@ -200,7 +193,7 @@ class KeyframePlan:
                 masks.append(self._range_block(level + 1, 2 * p + 1))
             else:
                 masks.append(self._range_block(level, p))
-        return Partition(self.n, masks)
+        return _trusted(self.n, masks)
 
     def keyframes(self) -> list[Partition]:
         """All k+1 keyframes, bottom (level k) to top (level 0)."""

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import antichains as ac
 from . import cardinal as card
@@ -28,17 +27,9 @@ CENSUS_VERSION = "# pilat census v1"
 HASSE_VERSION = "// pilat hasse v1"
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: where output goes and how wide to fan out."""
-
-    out_path: str | None = None
-    jobs: int = 1
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
+def _emit(text: str, out_path: str | None = None) -> None:
+    if out_path:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -62,21 +53,19 @@ def _yesno(flag: bool) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    cfg = RunConfig(out_path=args.output)
     if args.counts:
         _emit(f"n={args.n} bell={bell(args.n)} atoms={len(atoms(args.n))} "
-              f"coatoms={len(coatoms(args.n))}\n", cfg)
+              f"coatoms={len(coatoms(args.n))}\n", args.output)
         return 0
     lines = [p.format() for p in iter_partitions(args.n)]
-    _emit("".join(line + "\n" for line in lines), cfg)
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 
 def _cmd_chains(args) -> int:
-    cfg = RunConfig(out_path=getattr(args, "output", None))
     if args.chains_cmd == "keyframe":
         chain = ch.keyframe_chain(args.k)
-        _emit("".join(p.format() + "\n" for p in chain), cfg)
+        _emit("".join(p.format() + "\n" for p in chain), args.output)
         return 0
     # verify
     chain = _read_partition_file(args.file)
@@ -86,16 +75,15 @@ def _cmd_chains(args) -> int:
            f"maximal: {_yesno(report.is_maximal)}"]
     if report.witness is not None:
         out.append(f"witness: {report.witness}")
-    _emit("".join(line + "\n" for line in out), cfg)
+    _emit("".join(line + "\n" for line in out))
     return 0 if report.is_chain else 1
 
 
 def _cmd_antichains(args) -> int:
-    cfg = RunConfig(out_path=args.output)
     members = (ac.doubleton_antichain(args.n) if args.antichain_kind == "doubleton"
                else ac.bipartition_antichain(args.n))
     if not args.verify:
-        _emit("".join(p.format() + "\n" for p in members), cfg)
+        _emit("".join(p.format() + "\n" for p in members), args.output)
         return 0
     check_max = args.n <= effective_cap(ac.ANTICHAIN_CAP)
     report = ac.verify_antichain(members, args.n, check_maximal=check_max)
@@ -104,14 +92,13 @@ def _cmd_antichains(args) -> int:
            f"maximal: {'skipped' if report.is_maximal is None else _yesno(report.is_maximal)}"]
     if report.witness is not None:
         out.append(f"witness: {report.witness}")
-    _emit("".join(line + "\n" for line in out), cfg)
+    _emit("".join(line + "\n" for line in out), args.output)
     ok = report.is_antichain and report.is_maximal is not False
     return 0 if ok else 1
 
 
 def _cmd_complements(args) -> int:
-    cfg = RunConfig(out_path=args.output, jobs=args.jobs)
-    rows = co.complement_census(args.n, jobs=cfg.jobs)
+    rows = co.complement_census(args.n, jobs=args.jobs)
     buf = io.StringIO()
     buf.write(CENSUS_VERSION + "\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -120,25 +107,24 @@ def _cmd_complements(args) -> int:
         writer.writerow([row.partition, row.m,
                          "+".join(str(s) for s in row.block_sizes),
                          row.total, row.count_nm1, row.grieser])
-    _emit(buf.getvalue(), cfg)
+    _emit(buf.getvalue(), args.output)
     return 0
 
 
 def _cmd_ortho(args) -> int:
-    cfg = RunConfig(out_path=getattr(args, "output", None))
     if args.ortho_cmd == "witness":
         w = ortho.non_ortho_witness(args.n)
         _emit(f"n={w.n} atoms={w.atom_count} coatoms={w.coatom_count}\n"
-              f"no orthocomplementation: {w.reason}\n", cfg)
+              f"no orthocomplementation: {w.reason}\n")
         return 0
     found = ortho.search_orthocomplementation(args.n, exhaustive=args.exhaustive)
     if found is None:
-        _emit("none\n", cfg)
+        _emit("none\n")
         return 0
     lines = ["found"]
     for p in iter_partitions(args.n):
         lines.append(f"{p.format()} -> {found[p].format()}")
-    _emit("".join(line + "\n" for line in lines), cfg)
+    _emit("".join(line + "\n" for line in lines))
     return 0
 
 
@@ -169,7 +155,6 @@ def _hasse_dot(parts: list[Partition]) -> str:
 
 
 def _cmd_hasse(args) -> int:
-    cfg = RunConfig(out_path=args.output)
     sources = [src for src in (args.n, args.chain, args.antichain) if src is not None]
     if len(sources) != 1:
         raise ValueError("give exactly one of --n, --chain, --antichain")
@@ -180,7 +165,7 @@ def _cmd_hasse(args) -> int:
         parts = list(iter_partitions(args.n, cap=limit))
     else:
         parts = _read_partition_file(args.chain or args.antichain)
-    _emit(_hasse_dot(parts), cfg)
+    _emit(_hasse_dot(parts), args.output)
     return 0
 
 
@@ -218,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     comp_sub = p.add_subparsers(dest="complements_cmd", required=True)
     cs = comp_sub.add_parser("census", help="CSV census over all of Pi_n")
     cs.add_argument("--n", type=int, required=True)
-    cs.add_argument("--out", choices=["csv"], default="csv", help="output format")
     cs.add_argument("--jobs", type=int, default=1)
     cs.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_complements)

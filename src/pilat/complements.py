@@ -13,12 +13,14 @@ constructions that each produce families of pairwise distinct complements.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Mapping
 
 from .enumeration import LatticeUniverse, enumerate_partitions, iter_partitions
-from .partitions import Partition, bottom, effective_cap, top
+from .partitions import (Partition, _join_masks, _trusted, _with_singletons,
+                         effective_cap)
 
 COMPLEMENT_CAP = 11
 CENSUS_CAP = 9
@@ -28,34 +30,13 @@ ORACLE_CAP = 7
 def is_complement(p: Partition, q: Partition) -> bool:
     """True iff p & q is bottom and p | q is top."""
     p._check_ground(q)
-    n = p.n
     for b in p.masks:
         for c in q.masks:
             x = b & c
             if x & (x - 1):  # two or more shared elements
                 return False
     # meet is bottom; join is top iff the two block structures connect
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pieces = n
-    for m in p.masks + q.masks:
-        first = (m & -m).bit_length() - 1
-        root = find(first)
-        rest = m & (m - 1)
-        while rest:
-            low = rest & -rest
-            r = find(low.bit_length() - 1)
-            if r != root:
-                parent[r] = root
-                pieces -= 1
-            rest ^= low
-    return pieces <= 1
+    return len(_join_masks(p.n, p.masks + q.masks)) <= 1
 
 
 def naive_complements(p: Partition, universe: LatticeUniverse | None = None) -> list[Partition]:
@@ -81,7 +62,7 @@ def enumerate_complements(p: Partition, cap: int | None = None) -> list[Partitio
     if n > limit:
         raise ValueError(f"n={n} exceeds complement enumeration cap {limit}")
     if n == 0:
-        return [Partition(0, ())]
+        return [_trusted(0, ())]
     pblock = p.labels
     m = p.block_count
 
@@ -121,7 +102,7 @@ def enumerate_complements(p: Partition, cap: int | None = None) -> list[Partitio
             return  # cannot connect any more
         if e == n:
             if pieces == 1:
-                out.append(Partition(n, qmask))
+                out.append(_trusted(n, qmask))
             return
         pb = pblock[e]
         bit = 1 << pb
@@ -221,13 +202,7 @@ def split_transversal_complement(p: Partition, *,
     twos = [b for b in others if b not in set(ones)]
     q_one = (1 << iota) | sum(1 << reps[b] for b in ones)
     q_two = (1 << upsilon) | sum(1 << reps[b] for b in twos)
-    masks = [q_one, q_two]
-    rest = ((1 << p.n) - 1) & ~(q_one | q_two)
-    while rest:
-        low = rest & -rest
-        masks.append(low)
-        rest ^= low
-    return Partition(p.n, masks)
+    return _with_singletons(p.n, [q_one, q_two])
 
 
 def split_transversal_family(p: Partition) -> Iterator[Partition]:
@@ -266,12 +241,7 @@ def injection_complement(p: Partition, big_block: int,
             raise ValueError("map is not injective")
         used |= bit
         masks.append((1 << a) | bit)
-    rest = block_mask & ~used
-    while rest:
-        low = rest & -rest
-        masks.append(low)
-        rest ^= low
-    return Partition(p.n, masks)
+    return _with_singletons(p.n, masks)
 
 
 def injection_complement_family(p: Partition, big_block: int) -> Iterator[Partition]:
@@ -320,14 +290,19 @@ def complement_census(n: int, cap: int | None = None, jobs: int = 1) -> list[Cen
     Bottom and top rows are kept (each has the single complement top resp.
     bottom).  n = 0 is rejected: the empty partition is its own complement
     but has no block to count, so the n - m + 1 column is meaningless.
+    ``jobs`` worker processes share the rows; it must be at least 1 and is
+    lowered to the CPU count.
     """
     limit = effective_cap(CENSUS_CAP) if cap is None else cap
     if n < 1:
         raise ValueError("census needs n >= 1")
     if n > limit:
         raise ValueError(f"n={n} exceeds census cap {limit}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     parts = iter_partitions(n, cap=n)
-    if jobs <= 1:
+    if jobs == 1:
         return [_census_row(p) for p in parts]
     import multiprocessing
 

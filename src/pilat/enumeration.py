@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .partitions import Partition, effective_cap
+from .partitions import Partition, _check_size, _trusted, bottom, effective_cap
 
 ENUM_CAP = 12
 COUNT_CAP = 26  # bell(26) still fits in 64 bits
@@ -23,8 +23,9 @@ def iter_partitions(n: int, cap: int | None = None) -> Iterator[Partition]:
         raise ValueError("n must be non-negative")
     if n > limit:
         raise ValueError(f"n={n} exceeds enumeration cap {limit}")
+    _check_size(n)
     if n == 0:
-        yield Partition(0, ())
+        yield _trusted(0, ())
         return
     labels = [0] * n
 
@@ -33,7 +34,7 @@ def iter_partitions(n: int, cap: int | None = None) -> Iterator[Partition]:
             masks = [0] * (mx + 1)
             for e, lab in enumerate(labels):
                 masks[lab] |= 1 << e
-            yield Partition(n, masks)
+            yield _trusted(n, masks)
             return
         for v in range(mx + 2):
             labels[i] = v
@@ -102,27 +103,16 @@ def atoms(n: int) -> list[Partition]:
 
     There are C(n, 2) of them; empty for n < 2.
     """
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = (1 << i) | (1 << j)
-            masks = [pair]
-            rest = ((1 << n) - 1) & ~pair
-            while rest:
-                low = rest & -rest
-                masks.append(low)
-                rest ^= low
-            out.append(Partition(n, masks))
-    return out
+    if n < 2:
+        return []
+    bot = bottom(n)
+    return [bot.merge_blocks(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def coatoms(n: int) -> list[Partition]:
     """Lower covers of top: the two-block partitions, 2^(n-1) - 1 of them."""
     if n < 2:
         return []
+    _check_size(n)
     full = (1 << n) - 1
-    out = []
-    for s in range((1 << (n - 1)) - 1):
-        a = 1 | (s << 1)
-        out.append(Partition(n, (a, full & ~a)))
-    return out
+    return [_trusted(n, (a, full & ~a)) for a in range(1, full, 2)]

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .complements import is_complement
 from .enumeration import enumerate_partitions
-from .partitions import Partition, covers, effective_cap
+from .partitions import Partition, effective_cap
 
 CHECK_CAP = 6
 SEARCH_CAP = 4
@@ -70,16 +70,14 @@ def check_ortho_map(mapping: Mapping[Partition, Partition], n: int,
 
 
 def _cover_counts(universe) -> tuple[list[int], list[int]]:
-    """For each index: how many elements it covers / is covered by."""
-    size = len(universe)
-    below = [0] * size  # below[i] = #{j : j covered by i}... see below
-    above = [0] * size
+    """For each index: how many elements it covers / is covered by.
+
+    Splitting a block of size s in two gives 2^(s-1) - 1 lower covers;
+    merging two of k blocks gives C(k, 2) upper covers.
+    """
     parts = universe.partitions
-    for i, a in enumerate(parts):
-        for j, b in enumerate(parts):
-            if covers(a, b):  # b is an upper cover of a
-                above[i] += 1
-                below[j] += 1
+    below = [sum((1 << (m.bit_count() - 1)) - 1 for m in p.masks) for p in parts]
+    above = [comb(p.block_count, 2) for p in parts]
     return below, above
 
 
@@ -142,7 +140,7 @@ def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partit
     means no map exists.  n <= 4 runs as is; n = 5 only with
     ``exhaustive=True`` (it is settled faster by the counting witness).
     """
-    limit = SEARCH_CAP_EXHAUSTIVE if exhaustive else effective_cap(SEARCH_CAP)
+    limit = effective_cap(SEARCH_CAP_EXHAUSTIVE if exhaustive else SEARCH_CAP)
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > limit:

@@ -13,6 +13,16 @@ Conventions used throughout the package:
 
 The text form of a partition lists blocks separated by ``|`` with the ids
 inside a block separated by single spaces, e.g. ``"0 2|1 3"``.
+
+Input is validated once, where it enters the package.  ``Partition(n,
+masks)``, ``Partition.parse``, ``from_blocks``, ``from_labels`` and
+``from_json`` check their input in full; functions that take a size n from
+a caller (``bottom``, ``top``, ``diag``, ``atoms``, ``coatoms``,
+``iter_partitions``, ...) check it against the ground cap once per call.
+Partitions the package derives itself are built by ``_trusted(n, masks)``,
+which sorts, checks and reads nothing: its masks must be non-empty,
+disjoint, cover 0..n-1 and be sorted by least element, and n must already
+have been checked.
 """
 from __future__ import annotations
 
@@ -24,11 +34,11 @@ DEFAULT_GROUND_CAP = 128
 _CAP_ENV = "PILAT_MAX_N"
 
 
-def ground_cap() -> int:
-    """Largest allowed ground-set size (PILAT_MAX_N overrides the default)."""
+def effective_cap(default: int) -> int:
+    """Cap for a size-limited operation; PILAT_MAX_N replaces the default."""
     raw = os.environ.get(_CAP_ENV)
     if raw is None:
-        return DEFAULT_GROUND_CAP
+        return default
     try:
         cap = int(raw)
     except ValueError as exc:
@@ -38,10 +48,20 @@ def ground_cap() -> int:
     return cap
 
 
-def effective_cap(default: int) -> int:
-    """Cap for a size-limited operation; PILAT_MAX_N replaces the default."""
-    raw = os.environ.get(_CAP_ENV)
-    return default if raw is None else ground_cap()
+def ground_cap() -> int:
+    """Largest allowed ground-set size (PILAT_MAX_N overrides the default)."""
+    return effective_cap(DEFAULT_GROUND_CAP)
+
+
+def _check_size(n: int) -> None:
+    cap = ground_cap()
+    if not 0 <= n <= cap:
+        raise ValueError(f"ground-set size {n} outside 0..{cap}")
+
+
+def _low(mask: int) -> int:
+    """Lowest set bit: the sort key of canonical block order."""
+    return mask & -mask
 
 
 def _mask_elements(mask: int) -> tuple[int, ...]:
@@ -53,14 +73,46 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _group(keys: Iterable) -> list[int]:
+    """Masks grouping the positions of equal keys, in first-occurrence order."""
+    index: dict = {}
+    masks: list[int] = []
+    for e, key in enumerate(keys):
+        j = index.get(key)
+        if j is None:
+            index[key] = j = len(masks)
+            masks.append(0)
+        masks[j] |= 1 << e
+    return masks
+
+
+def _join_masks(n: int, masks: Iterable[int]) -> list[int]:
+    """Blocks of the finest partition in which each given block lies inside
+    one block, in least-element order (union-find over the elements)."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for m in masks:
+        first, *rest = _mask_elements(m)
+        root = find(first)
+        for e in rest:
+            r = find(e)
+            if r != root:
+                parent[r] = root
+    return _group(find(e) for e in range(n))
+
+
 class Partition:
     """An immutable set partition of {0..n-1} in canonical block order."""
 
     def __init__(self, n: int, masks: Iterable[int]):
-        cap = ground_cap()
-        if not 0 <= n <= cap:
-            raise ValueError(f"ground-set size {n} outside 0..{cap}")
-        blocks = tuple(sorted(masks, key=lambda m: m & -m))
+        _check_size(n)
+        blocks = tuple(sorted(masks, key=_low))
         union = 0
         count = 0
         for m in blocks:
@@ -95,22 +147,14 @@ class Partition:
         if seen != (1 << n) - 1:
             missing = _mask_elements(((1 << n) - 1) & ~seen)
             raise ValueError(f"missing elements {list(missing)}")
-        return cls(n, masks)
+        _check_size(n)
+        return _trusted(n, sorted(masks, key=_low))
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Partition":
         """Partition grouping equal labels; labels need not be in RGS form."""
-        n = len(labels)
-        order: dict[int, int] = {}
-        masks: list[int] = []
-        for e, lab in enumerate(labels):
-            j = order.get(lab)
-            if j is None:
-                j = len(masks)
-                order[lab] = j
-                masks.append(0)
-            masks[j] |= 1 << e
-        return cls(n, masks)
+        _check_size(len(labels))
+        return _trusted(len(labels), _group(labels))
 
     @classmethod
     def parse(cls, text: str, n: int) -> "Partition":
@@ -200,52 +244,12 @@ class Partition:
     def __and__(self, other: "Partition") -> "Partition":
         """Meet: blocks are the pairwise block intersections."""
         self._check_ground(other)
-        la, lb = self.labels, other.labels
-        seen: dict[tuple[int, int], int] = {}
-        masks: list[int] = []
-        for e in range(self.n):
-            key = (la[e], lb[e])
-            j = seen.get(key)
-            if j is None:
-                j = len(masks)
-                seen[key] = j
-                masks.append(0)
-            masks[j] |= 1 << e
-        return Partition(self.n, masks)
+        return _trusted(self.n, _group(zip(self.labels, other.labels)))
 
     def __or__(self, other: "Partition") -> "Partition":
         """Join: finest common coarsening, via union-find over elements."""
         self._check_ground(other)
-        n = self.n
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for m in self.masks + other.masks:
-            first = (m & -m).bit_length() - 1
-            root = find(first)
-            rest = m & (m - 1)
-            while rest:
-                low = rest & -rest
-                other_root = find(low.bit_length() - 1)
-                if other_root != root:
-                    parent[other_root] = root
-                rest ^= low
-        groups: dict[int, int] = {}
-        masks: list[int] = []
-        for e in range(n):
-            r = find(e)
-            j = groups.get(r)
-            if j is None:
-                j = len(masks)
-                groups[r] = j
-                masks.append(0)
-            masks[j] |= 1 << e
-        return Partition(n, masks)
+        return _trusted(self.n, _join_masks(self.n, self.masks + other.masks))
 
     def merge_blocks(self, i: int, j: int) -> "Partition":
         """Replace blocks i and j with their union (an upper cover)."""
@@ -254,10 +258,9 @@ class Partition:
         masks = list(self.masks)
         if not (0 <= i < len(masks) and 0 <= j < len(masks)):
             raise ValueError("block index out of range")
-        merged = masks[i] | masks[j]
-        masks = [m for k, m in enumerate(masks) if k not in (i, j)]
-        masks.append(merged)
-        return Partition(self.n, masks)
+        i, j = min(i, j), max(i, j)
+        masks[i] |= masks.pop(j)  # the union keeps the lesser least element
+        return _trusted(self.n, masks)
 
     def to_json(self) -> dict:
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
@@ -269,14 +272,33 @@ class Partition:
         return cls.from_blocks(data["n"], data["blocks"])
 
 
+def _trusted(n: int, masks: Iterable[int]) -> Partition:
+    """Partition from canonical masks, unchecked (see the module docstring)."""
+    p = object.__new__(Partition)
+    p.n = n
+    p.masks = tuple(masks)
+    return p
+
+
+def _with_singletons(n: int, masks: list[int]) -> Partition:
+    """The disjoint blocks ``masks`` plus a singleton for each element they miss."""
+    rest = (1 << n) - 1
+    for m in masks:
+        rest &= ~m
+    singletons = [1 << e for e in _mask_elements(rest)]
+    return _trusted(n, sorted(masks + singletons, key=_low))
+
+
 def bottom(n: int) -> Partition:
     """The all-singletons partition (the empty partition when n = 0)."""
-    return Partition(n, (1 << e for e in range(n)))
+    _check_size(n)
+    return _trusted(n, (1 << e for e in range(n)))
 
 
 def top(n: int) -> Partition:
     """The one-block partition (the empty partition when n = 0)."""
-    return Partition(n, ((1 << n) - 1,)) if n else Partition(0, ())
+    _check_size(n)
+    return _trusted(n, ((1 << n) - 1,) if n else ())
 
 
 def diag(members: Iterable[int], n: int) -> Partition:
@@ -293,13 +315,8 @@ def diag(members: Iterable[int], n: int) -> Partition:
         mask |= 1 << e
     if mask == 0:
         raise ValueError("diag needs a non-empty member set")
-    masks = [mask]
-    rest = ((1 << n) - 1) & ~mask
-    while rest:
-        low = rest & -rest
-        masks.append(low)
-        rest ^= low
-    return Partition(n, masks)
+    _check_size(n)
+    return _with_singletons(n, [mask])
 
 
 def leq(p: Partition, q: Partition) -> bool:

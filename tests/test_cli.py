@@ -1,4 +1,5 @@
 """Command-line interface: output formats, exit codes, determinism."""
+import hashlib
 import json
 
 import pytest
@@ -136,6 +137,13 @@ def test_census_deterministic_and_parallel(capsys):
     assert parallel == first
 
 
+def test_census_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-5"):
+        rc, out, err = run(capsys, "complements", "census", "--n", "3", "--jobs", jobs)
+        assert rc == 2 and out == ""
+        assert "jobs" in err
+
+
 def test_census_rejects_n0(capsys):
     rc, out, err = run(capsys, "complements", "census", "--n", "0")
     assert rc == 2
@@ -211,6 +219,21 @@ def test_cardinal_eval_bad_inputs(capsys, tmp_path):
     assert rc == 2
 
 
+def _nested_ordinal(depth):
+    text = "1"
+    for _ in range(depth):
+        text = f"w^({text})"
+    return text
+
+
+def test_cardinal_eval_deep_nesting(capsys):
+    rc, out, _ = run(capsys, "cardinal", "eval", f"aleph({_nested_ordinal(300)})")
+    assert rc == 0 and out.startswith("aleph(w^(w^(")
+    rc, out, err = run(capsys, "cardinal", "eval", f"aleph({_nested_ordinal(2000)})")
+    assert rc == 2 and out == ""
+    assert "nested too deeply" in err
+
+
 # ---------------------------------------------------------------------- hasse
 
 def test_hasse_full_lattice(capsys):
@@ -280,3 +303,28 @@ def test_env_cap_raises_limits(capsys, monkeypatch):
     rc, out, _ = run(capsys, "enumerate", "--n", "13", "--counts")
     assert rc == 0
     assert out == "n=13 bell=27644437 atoms=78 coatoms=4095\n"
+
+# ------------------------------------------------------------ golden output
+
+# SHA-256 of stdout, recorded before the partition core was refactored.
+GOLDEN = [
+    (("enumerate", "--n", "6"),
+     "a9af635989e04162e6ae11a64e43e6167d6442ee09b60d9e064c66793e31672d"),
+    (("hasse", "--n", "4"),
+     "a088cd77253f043978dc423be0239b670b7dff561e7085f210cdb7ffcf54de55"),
+    (("complements", "census", "--n", "5"),
+     "6cafe732426f7e53536e7e02945d20aaa7e3c9d258048ccc371e4eb822d27be8"),
+    (("chains", "keyframe", "--k", "3"),
+     "aea1092849a46b42bd008f8990fd3e90f79395cd1e4972ee86c330cc348e4d26"),
+    (("antichains", "bipartition", "--n", "5", "--verify"),
+     "ecf77c6bbb71a4daf89ea49fe31dcb0f0d61594811af83bf0c1e089f029e60e7"),
+    (("ortho", "search", "--n", "4"),
+     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(capsys, argv, digest):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

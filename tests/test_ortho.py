@@ -151,3 +151,22 @@ def test_witness_counts_strictly_separate():
 def test_witness_rejects_small_n():
     with pytest.raises(ValueError):
         non_ortho_witness(4)
+
+
+def test_cover_counts_match_pairwise_scan():
+    from pilat.ortho import _cover_counts
+
+    for n in range(6):
+        universe = enumerate_partitions(n)
+        parts = universe.partitions
+        below = [sum(covers(b, a) for b in parts) for a in parts]
+        above = [sum(covers(a, b) for b in parts) for a in parts]
+        assert _cover_counts(universe) == (below, above)
+
+
+def test_exhaustive_search_honours_env_cap(monkeypatch):
+    monkeypatch.setenv("PILAT_MAX_N", "4")
+    with pytest.raises(ValueError, match="cap 4"):
+        search_orthocomplementation(5, exhaustive=True)
+    monkeypatch.delenv("PILAT_MAX_N")
+    assert search_orthocomplementation(5, exhaustive=True) is None

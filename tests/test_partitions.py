@@ -239,3 +239,50 @@ def test_ground_cap_env_override(monkeypatch):
     with pytest.raises(ValueError, match="outside 0..3"):
         bottom(4)
     assert bottom(3).n == 3
+
+
+# ------------------------------------------------- trusted internal producers
+
+def _assert_canonical(p):
+    # the validating constructor sorts and checks; canonical masks survive it unchanged
+    assert Partition(p.n, p.masks).masks == p.masks
+
+
+def test_internal_producers_match_validating_constructor():
+    from itertools import combinations
+
+    from pilat import (KeyframePlan, atoms, coatoms, enumerate_complements,
+                       injection_complement_family, iter_partitions,
+                       split_transversal_family)
+
+    for n in range(7):
+        parts = list(iter_partitions(n))
+        for p in parts + [bottom(n), top(n)] + atoms(n) + coatoms(n):
+            _assert_canonical(p)
+        for p in parts:
+            for q in parts:
+                _assert_canonical(p & q)
+                _assert_canonical(p | q)
+            for i, j in combinations(range(p.block_count), 2):
+                _assert_canonical(p.merge_blocks(i, j))
+                _assert_canonical(p.merge_blocks(j, i))
+            for q in enumerate_complements(p):
+                _assert_canonical(q)
+            if p.block_count < n:
+                for q in split_transversal_family(p):
+                    _assert_canonical(q)
+            for b in range(p.block_count):
+                for q in injection_complement_family(p, b):
+                    _assert_canonical(q)
+            _assert_canonical(Partition.from_labels(p.labels[::-1]))
+            _assert_canonical(Partition.from_blocks(n, reversed(p.blocks)))
+        for size in range(1, n + 1):
+            for members in combinations(range(n), size):
+                _assert_canonical(diag(members, n))
+    for k in range(4):
+        plan = KeyframePlan(k)
+        for level in range(k + 1):
+            _assert_canonical(plan.keyframe(level))
+        for level in range(k):
+            for split_count in range(1 << level):
+                _assert_canonical(plan.inbetween(level, split_count))
