@@ -27,20 +27,25 @@ def iter_partitions(n: int, cap: int | None = None) -> Iterator[Partition]:
     if n == 0:
         yield _trusted(0, ())
         return
+    # Knuth, TAOCP 4A, 7.2.1.5, Algorithm H: element i may take the labels
+    # 0..bound[i], where bound[i] = 1 + max(labels[:i]) and bound[0] = 0.
     labels = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[Partition]:
-        if i == n:
-            masks = [0] * (mx + 1)
-            for e, lab in enumerate(labels):
-                masks[lab] |= 1 << e
-            yield _trusted(n, masks)
+    bound = [0] + [1] * (n - 1)
+    while True:
+        masks = [0] * max(bound[-1], labels[-1] + 1)
+        for e, lab in enumerate(labels):
+            masks[lab] |= 1 << e
+        yield _trusted(n, masks)
+        j = n - 1
+        while j and labels[j] == bound[j]:
+            j -= 1
+        if not j:
             return
-        for v in range(mx + 2):
-            labels[i] = v
-            yield from rec(i + 1, mx if v <= mx else v)
-
-    yield from rec(1, 0)
+        labels[j] += 1
+        nxt = max(bound[j], labels[j] + 1)
+        for i in range(j + 1, n):
+            labels[i] = 0
+            bound[i] = nxt
 
 
 class LatticeUniverse:

@@ -269,7 +269,12 @@ class Partition:
     def from_json(cls, data: dict) -> "Partition":
         if not isinstance(data, dict) or "n" not in data or "blocks" not in data:
             raise ValueError("expected an object with 'n' and 'blocks'")
-        return cls.from_blocks(data["n"], data["blocks"])
+        n, blocks = data["n"], data["blocks"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"'n' must be an integer, got {n!r}")
+        if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+            raise ValueError("'blocks' must be a list of lists")
+        return cls.from_blocks(n, blocks)
 
 
 def _trusted(n: int, masks: Iterable[int]) -> Partition:

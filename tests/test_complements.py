@@ -269,10 +269,15 @@ def test_census_row_fields():
 
 
 def test_census_totals_match_oracle():
-    universe = enumerate_partitions(5)
-    totals = {r.partition: r.total for r in complement_census(5)}
-    for p in universe.partitions:
-        assert totals[p.format()] == len(naive_complements(p, universe))
+    for n in range(1, 7):
+        universe = enumerate_partitions(n)
+        rows = {r.partition: r for r in complement_census(n)}
+        for p in universe.partitions:
+            comps = naive_complements(p, universe)
+            target = n - p.block_count + 1
+            row = rows[p.format()]
+            assert (row.total, row.count_nm1) == (
+                len(comps), sum(q.block_count == target for q in comps))
 
 
 def test_census_parallel_matches_serial():

@@ -46,10 +46,18 @@ def test_enumeration_endpoints():
 
 
 def test_enumeration_counts_and_uniqueness():
-    for n in range(7):
+    for n in range(9):
         universe = enumerate_partitions(n).partitions
         assert len(universe) == bell(n)
         assert len(set(universe)) == len(universe)
+        labels = [p.labels for p in universe]
+        # strictly increasing RGS vectors, B(n) of them: exactly the RGS order
+        assert all(a < b for a, b in zip(labels, labels[1:]))
+
+
+def test_enumeration_is_not_recursive(monkeypatch):
+    monkeypatch.setenv("PILAT_MAX_N", "2000")
+    assert next(iter_partitions(1100)) == top(1100)
 
 
 def test_enumeration_cap():

@@ -75,6 +75,19 @@ def test_json_round_trip():
     assert q == p
 
 
+@pytest.mark.parametrize("data", [
+    {"n": "3", "blocks": [[0]]},
+    {"n": True, "blocks": [[0]]},
+    {"n": 3, "blocks": 5},
+    {"n": 3, "blocks": [0, 1, 2]},
+    {"n": 3},
+    [3],
+])
+def test_from_json_rejects_malformed(data):
+    with pytest.raises(ValueError):
+        Partition.from_json(data)
+
+
 # ------------------------------------------------------------------ extremes
 
 def test_bottom_and_top():
