@@ -10,23 +10,16 @@ Usage: python scripts/census_sweep.py [--max-n 7] [--jobs 2]
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from pilat import complement_census
 
 
-@dataclass
-class SweepConfig:
-    max_n: int = 7
-    jobs: int = 1
-
-
-def run(config: SweepConfig) -> int:
+def run(max_n: int = 7, jobs: int = 1) -> int:
     print(f"{'n':>2} {'partitions':>10} {'complements':>11} {'max-total':>9} "
           f"{'formula-ok':>10} {'seconds':>8}")
-    for n in range(1, config.max_n + 1):
+    for n in range(1, max_n + 1):
         start = time.perf_counter()
-        rows = complement_census(n, jobs=config.jobs)
+        rows = complement_census(n, jobs=jobs)
         elapsed = time.perf_counter() - start
         total = sum(r.total for r in rows)
         biggest = max(r.total for r in rows)
@@ -44,7 +37,7 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=7)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
-    return run(SweepConfig(max_n=args.max_n, jobs=args.jobs))
+    return run(args.max_n, args.jobs)
 
 
 if __name__ == "__main__":

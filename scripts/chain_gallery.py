@@ -7,7 +7,6 @@ Usage: python scripts/chain_gallery.py [--max-k 3] [--count-n 5]
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from pilat import (
     bottom,
@@ -19,12 +18,6 @@ from pilat import (
 )
 
 
-@dataclass
-class GalleryConfig:
-    max_k: int = 3
-    count_n: int = 5
-
-
 def show_chain(label: str, chain) -> None:
     report = verify_chain(chain)
     status = "maximal" if report.is_maximal else "not maximal"
@@ -33,16 +26,16 @@ def show_chain(label: str, chain) -> None:
         print(f"  {p.format()}")
 
 
-def run(config: GalleryConfig) -> int:
-    for k in range(1, config.max_k + 1):
+def run(max_k: int = 3, count_n: int = 5) -> int:
+    for k in range(1, max_k + 1):
         show_chain(f"keyframe chain k={k}", keyframe_chain(k))
         print()
-    n = 2 ** config.max_k
+    n = 2 ** max_k
     sparse = [bottom(n), top(n)]
     show_chain(f"saturating bottom..top on {n} elements", extend_to_maximal(sparse))
     print()
     print("maximal chain counts (n! (n-1)! / 2^(n-1)):")
-    for n in range(1, config.count_n + 1):
+    for n in range(1, count_n + 1):
         got = sum(1 for _ in enumerate_maximal_chains(n))
         predicted = math.factorial(n) * math.factorial(n - 1) // 2 ** (n - 1)
         marker = "ok" if got == predicted else "MISMATCH"
@@ -57,7 +50,7 @@ def main() -> int:
     parser.add_argument("--max-k", type=int, default=3)
     parser.add_argument("--count-n", type=int, default=5)
     args = parser.parse_args()
-    return run(GalleryConfig(max_k=args.max_k, count_n=args.count_n))
+    return run(args.max_k, args.count_n)
 
 
 if __name__ == "__main__":

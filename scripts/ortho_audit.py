@@ -10,7 +10,6 @@ Usage: python scripts/ortho_audit.py [--max-n 12]
 """
 import argparse
 import sys
-from dataclasses import dataclass
 
 from pilat import (
     ContinuumModel,
@@ -24,18 +23,14 @@ from pilat import (
     parse_ordinal,
     search_orthocomplementation,
 )
-
-SEARCH_LIMIT = 4
-
-
-@dataclass
-class AuditConfig:
-    max_n: int = 12
+from pilat.ortho import SEARCH_CAP
+from pilat.partitions import effective_cap
 
 
-def run(config: AuditConfig) -> int:
-    for n in range(1, config.max_n + 1):
-        if n <= SEARCH_LIMIT:
+def run(max_n: int = 12) -> int:
+    search_limit = effective_cap(SEARCH_CAP)
+    for n in range(1, max_n + 1):
+        if n <= search_limit:
             mapping = search_orthocomplementation(n)
             if mapping is None:
                 print(f"n={n:>2}: exhaustive search, none")
@@ -68,7 +63,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=12)
     args = parser.parse_args()
-    return run(AuditConfig(max_n=args.max_n))
+    return run(args.max_n)
 
 
 if __name__ == "__main__":

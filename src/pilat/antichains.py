@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .enumeration import atoms, coatoms, iter_partitions
-from .partitions import Partition, comparable, effective_cap
+from .partitions import Partition, _check_cap, comparable
 
 ANTICHAIN_CAP = 10
 
@@ -33,8 +33,7 @@ def _comparable_pair(members: list[Partition]) -> tuple[Partition, Partition] | 
 
 
 def verify_antichain(members: Iterable[Partition], n: int, *,
-                     check_maximal: bool = True,
-                     cap: int | None = None) -> AntichainReport:
+                     check_maximal: bool = True) -> AntichainReport:
     """Check pairwise incomparability and (optionally) maximality in Pi_n."""
     mem = list(members)
     for p in mem:
@@ -47,11 +46,9 @@ def verify_antichain(members: Iterable[Partition], n: int, *,
         return AntichainReport(False, None, witness=pair)
     if not check_maximal:
         return AntichainReport(True, None)
-    limit = effective_cap(ANTICHAIN_CAP) if cap is None else cap
-    if n > limit:
-        raise ValueError(f"n={n} exceeds antichain maximality cap {limit}")
+    _check_cap(n, ANTICHAIN_CAP, "antichain maximality")
     mem_set = set(mem)
-    for q in iter_partitions(n, cap=limit):
+    for q in iter_partitions(n):
         if q in mem_set:
             continue
         if not any(comparable(q, p) for p in mem):
@@ -82,8 +79,7 @@ def bipartition_antichain(n: int) -> list[Partition]:
     return coatoms(n)
 
 
-def extend_to_maximal_antichain(members: Iterable[Partition], n: int,
-                                cap: int | None = None) -> list[Partition]:
+def extend_to_maximal_antichain(members: Iterable[Partition], n: int) -> list[Partition]:
     """Greedy completion to a maximal antichain, scanning in RGS order.
 
     Deterministic: candidates are tried in enumeration order and added
@@ -97,12 +93,10 @@ def extend_to_maximal_antichain(members: Iterable[Partition], n: int,
             raise ValueError(f"ground-set mismatch: {p.n} vs {n}")
     if _comparable_pair(mem) is not None:
         raise ValueError("input is not an antichain")
-    limit = effective_cap(ANTICHAIN_CAP) if cap is None else cap
-    if n > limit:
-        raise ValueError(f"n={n} exceeds antichain maximality cap {limit}")
+    _check_cap(n, ANTICHAIN_CAP, "antichain maximality")
     chosen = list(dict.fromkeys(mem))
     have = set(chosen)
-    for q in iter_partitions(n, cap=limit):
+    for q in iter_partitions(n):
         if q in have:
             continue
         if not any(comparable(q, p) for p in chosen):

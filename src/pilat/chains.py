@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import (Partition, _mask_elements, _trusted, bottom, covers, diag,
-                         effective_cap, ground_cap, top)
+from .partitions import (Partition, _check_cap, _mask_elements, _trusted, bottom, covers,
+                         diag, ground_cap, top)
 
 MAXCHAIN_CAP = 6
-KEYFRAME_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,9 @@ def extend_to_maximal(chain: Sequence[Partition]) -> list[Partition]:
     return out
 
 
-def enumerate_maximal_chains(n: int, cap: int | None = None) -> Iterator[tuple[Partition, ...]]:
+def enumerate_maximal_chains(n: int) -> Iterator[tuple[Partition, ...]]:
     """Stream every maximal chain of Pi_n exactly once (small n only)."""
-    limit = effective_cap(MAXCHAIN_CAP) if cap is None else cap
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds maximal-chain cap {limit}")
+    _check_cap(n, MAXCHAIN_CAP, "maximal-chain")
     path = [bottom(n)]
 
     def rec() -> Iterator[tuple[Partition, ...]]:
@@ -154,17 +149,16 @@ class KeyframePlan:
     keyframe groups elements by their first d bits, giving 2^d blocks of
     size 2^(k-d); blocks are ordered by ascending numeric prefix.  The
     in-between step (d, a) additionally splits the first a of those blocks
-    into their two level-(d+1) halves.
+    into their two level-(d+1) halves.  The k allowed are those with
+    2^k within the ground cap.
     """
 
     k: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
         cap = ground_cap()
-        if (1 << self.k) > cap:
-            raise ValueError(f"2^{self.k} elements exceed the ground cap {cap}")
+        if not 0 <= self.k < cap.bit_length():  # 0 <= k and 2^k <= cap
+            raise ValueError(f"k={self.k} needs 2^k elements within the ground cap {cap}")
 
     @property
     def n(self) -> int:
@@ -200,16 +194,13 @@ class KeyframePlan:
         return [self.keyframe(level) for level in range(self.k, -1, -1)]
 
 
-def keyframe_chain(k: int, cap: int | None = None) -> list[Partition]:
+def keyframe_chain(k: int) -> list[Partition]:
     """The maximal chain of Pi_{2^k} walking the dyadic keyframes.
 
     Starts at bottom and, level by level from the finest keyframe up,
     un-splits blocks left to right.  The chain has exactly 2^k elements and
     passes through every keyframe.
     """
-    limit = effective_cap(KEYFRAME_CAP) if cap is None else cap
-    if k > limit:
-        raise ValueError(f"k={k} exceeds keyframe cap {limit}")
     plan = KeyframePlan(k)
     out = [bottom(plan.n)]
     for level in range(k - 1, -1, -1):

@@ -19,8 +19,8 @@ from . import cardinal as card
 from . import chains as ch
 from . import complements as co
 from . import ortho
-from .enumeration import atoms, bell, coatoms, iter_partitions
-from .partitions import Partition, covers, effective_cap
+from .enumeration import _atom_coatom_counts, bell, iter_partitions
+from .partitions import Partition, _check_cap, covers, effective_cap
 
 HASSE_CAP = 7
 CENSUS_VERSION = "# pilat census v1"
@@ -54,8 +54,10 @@ def _yesno(flag: bool) -> str:
 
 def _cmd_enumerate(args) -> int:
     if args.counts:
-        _emit(f"n={args.n} bell={bell(args.n)} atoms={len(atoms(args.n))} "
-              f"coatoms={len(coatoms(args.n))}\n", args.output)
+        bell_n = bell(args.n)  # checks the counting cap before 2^(n-1) is built
+        atom_count, coatom_count = _atom_coatom_counts(args.n)
+        _emit(f"n={args.n} bell={bell_n} atoms={atom_count} coatoms={coatom_count}\n",
+              args.output)
         return 0
     lines = [p.format() for p in iter_partitions(args.n)]
     _emit("".join(line + "\n" for line in lines), args.output)
@@ -144,10 +146,13 @@ def _cmd_cardinal(args) -> int:
 
 def _hasse_dot(parts: list[Partition]) -> str:
     lines = [HASSE_VERSION, "digraph partitions {", "  rankdir=BT;"]
+    by_count: dict[int, list[Partition]] = {}
     for p in parts:
         lines.append(f'  "{p.format()}";')
+        by_count.setdefault(p.block_count, []).append(p)
     for p in parts:
-        for q in parts:
+        # an upper cover has exactly one block fewer
+        for q in by_count.get(p.block_count - 1, ()):
             if covers(p, q):
                 lines.append(f'  "{p.format()}" -> "{q.format()}";')
     lines.append("}")
@@ -159,10 +164,8 @@ def _cmd_hasse(args) -> int:
     if len(sources) != 1:
         raise ValueError("give exactly one of --n, --chain, --antichain")
     if args.n is not None:
-        limit = effective_cap(HASSE_CAP)
-        if args.n > limit:
-            raise ValueError(f"n={args.n} exceeds hasse cap {limit}")
-        parts = list(iter_partitions(args.n, cap=limit))
+        _check_cap(args.n, HASSE_CAP, "hasse")
+        parts = list(iter_partitions(args.n))
     else:
         parts = _read_partition_file(args.chain or args.antichain)
     _emit(_hasse_dot(parts), args.output)

@@ -19,8 +19,7 @@ from math import prod
 from typing import Iterator, Mapping
 
 from .enumeration import LatticeUniverse, enumerate_partitions, iter_partitions
-from .partitions import (Partition, _join_masks, _trusted, _with_singletons,
-                         effective_cap)
+from .partitions import Partition, _check_cap, _join_masks, _trusted, _with_singletons
 
 COMPLEMENT_CAP = 11
 CENSUS_CAP = 9
@@ -42,13 +41,14 @@ def is_complement(p: Partition, q: Partition) -> bool:
 def naive_complements(p: Partition, universe: LatticeUniverse | None = None) -> list[Partition]:
     """Oracle: filter the whole lattice.  Only sensible for small n."""
     if universe is None:
-        universe = enumerate_partitions(p.n, cap=effective_cap(ORACLE_CAP))
+        _check_cap(p.n, ORACLE_CAP, "complement oracle")
+        universe = enumerate_partitions(p.n)
     elif universe.n != p.n:
         raise ValueError(f"ground-set mismatch: {universe.n} vs {p.n}")
     return [q for q in universe if is_complement(p, q)]
 
 
-def enumerate_complements(p: Partition, cap: int | None = None) -> list[Partition]:
+def enumerate_complements(p: Partition) -> list[Partition]:
     """All complements of p, by pruned backtracking, in RGS order.
 
     Elements are assigned to blocks of the candidate Q one at a time.  A
@@ -57,10 +57,8 @@ def enumerate_complements(p: Partition, cap: int | None = None) -> list[Partitio
     an existing block can fuse at most two connected pieces, so a branch
     dies as soon as the remaining assignments cannot reach one piece.
     """
-    limit = effective_cap(COMPLEMENT_CAP) if cap is None else cap
     n = p.n
-    if n > limit:
-        raise ValueError(f"n={n} exceeds complement enumeration cap {limit}")
+    _check_cap(n, COMPLEMENT_CAP, "complement enumeration")
     if n == 0:
         return [_trusted(0, ())]
     pblock = p.labels
@@ -284,7 +282,7 @@ def _census_row(p: Partition) -> CensusRow:
     )
 
 
-def complement_census(n: int, cap: int | None = None, jobs: int = 1) -> list[CensusRow]:
+def complement_census(n: int, jobs: int = 1) -> list[CensusRow]:
     """One row per partition of Pi_n, in RGS order.
 
     Bottom and top rows are kept (each has the single complement top resp.
@@ -293,15 +291,13 @@ def complement_census(n: int, cap: int | None = None, jobs: int = 1) -> list[Cen
     ``jobs`` worker processes share the rows; it must be at least 1 and is
     lowered to the CPU count.
     """
-    limit = effective_cap(CENSUS_CAP) if cap is None else cap
-    if n < 1:
+    _check_cap(n, CENSUS_CAP, "census")
+    if n == 0:
         raise ValueError("census needs n >= 1")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds census cap {limit}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
-    parts = iter_partitions(n, cap=n)
+    parts = iter_partitions(n)
     if jobs == 1:
         return [_census_row(p) for p in parts]
     import multiprocessing
@@ -320,7 +316,8 @@ def relative_complement_in(b: Partition, a: Partition, c: Partition,
     if not (a <= b and b <= c):
         raise ValueError("need a <= b <= c")
     if universe is None:
-        universe = enumerate_partitions(b.n, cap=effective_cap(ORACLE_CAP))
+        _check_cap(b.n, ORACLE_CAP, "complement oracle")
+        universe = enumerate_partitions(b.n)
     for z in universe:
         if a <= z and z <= c and (b & z) == a and (b | z) == c:
             return z

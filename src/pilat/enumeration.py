@@ -7,23 +7,18 @@ at 012...(n-1) (all singletons, bottom).
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from math import comb
 from typing import Iterator
 
-from .partitions import Partition, _check_size, _trusted, bottom, effective_cap
+from .partitions import Partition, _check_cap, _check_size, _trusted, bottom
 
 ENUM_CAP = 12
 COUNT_CAP = 26  # bell(26) still fits in 64 bits
 
 
-def iter_partitions(n: int, cap: int | None = None) -> Iterator[Partition]:
+def iter_partitions(n: int) -> Iterator[Partition]:
     """Yield all partitions of {0..n-1} in lexicographic RGS order."""
-    limit = effective_cap(ENUM_CAP) if cap is None else cap
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds enumeration cap {limit}")
-    _check_size(n)
+    _check_cap(n, ENUM_CAP, "enumeration")
     if n == 0:
         yield _trusted(0, ())
         return
@@ -72,52 +67,46 @@ class LatticeUniverse:
         return self._index[p]
 
 
-def enumerate_partitions(n: int, cap: int | None = None) -> LatticeUniverse:
-    return LatticeUniverse(n, tuple(iter_partitions(n, cap)))
+def enumerate_partitions(n: int) -> LatticeUniverse:
+    return LatticeUniverse(n, tuple(iter_partitions(n)))
 
 
-@lru_cache(maxsize=None)
-def _s2(n: int, k: int) -> int:
-    if k == 0:
-        return 1 if n == 0 else 0
-    if k > n:
-        return 0
-    return k * _s2(n - 1, k) + _s2(n - 1, k - 1)
+def _stirling_row(n: int) -> list[int]:
+    """[S(n, 0), ..., S(n, n)], built row by row by S(i, k) = k S(i-1, k) + S(i-1, k-1)."""
+    _check_cap(n, COUNT_CAP, "counting")
+    row = [1]
+    for _ in range(n):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, len(row))] + [1]
+    return row
 
 
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into exactly k blocks."""
+    row = _stirling_row(n)
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if n > COUNT_CAP:
-        raise ValueError(f"n={n} exceeds counting cap {COUNT_CAP}")
-    return _s2(n, k)
+    return row[k]
 
 
 def bell(n: int) -> int:
     """Number of partitions of an n-set."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > COUNT_CAP:
-        raise ValueError(f"n={n} exceeds counting cap {COUNT_CAP}")
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return sum(_stirling_row(n))
+
+
+def _atom_coatom_counts(n: int) -> tuple[int, int]:
+    """C(n, 2) and 2^(n-1) - 1 (0 for n < 2), the lengths of atoms(n) and
+    coatoms(n), without building either list.  n must be >= 0."""
+    return comb(n, 2), (1 << (n - 1)) - 1 if n >= 2 else 0
 
 
 def atoms(n: int) -> list[Partition]:
-    """Upper covers of bottom: one doubleton block, singletons elsewhere.
-
-    There are C(n, 2) of them; empty for n < 2.
-    """
-    if n < 2:
-        return []
+    """Upper covers of bottom: one doubleton block, singletons elsewhere."""
     bot = bottom(n)
     return [bot.merge_blocks(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def coatoms(n: int) -> list[Partition]:
-    """Lower covers of top: the two-block partitions, 2^(n-1) - 1 of them."""
-    if n < 2:
-        return []
+    """Lower covers of top: the two-block partitions."""
     _check_size(n)
     full = (1 << n) - 1
     return [_trusted(n, (a, full & ~a)) for a in range(1, full, 2)]

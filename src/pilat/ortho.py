@@ -21,8 +21,8 @@ from math import comb
 from typing import Mapping
 
 from .complements import is_complement
-from .enumeration import enumerate_partitions
-from .partitions import Partition, effective_cap
+from .enumeration import _atom_coatom_counts, enumerate_partitions
+from .partitions import Partition, _check_cap
 
 CHECK_CAP = 6
 SEARCH_CAP = 4
@@ -36,17 +36,14 @@ class OrthoReport:
     witness: object = None
 
 
-def check_ortho_map(mapping: Mapping[Partition, Partition], n: int,
-                    cap: int | None = None) -> OrthoReport:
+def check_ortho_map(mapping: Mapping[Partition, Partition], n: int) -> OrthoReport:
     """Check the four axioms over all of Pi_n, in axiom order.
 
     The witness is the first offending element (axioms i, ii, iv) or pair
     (axiom iii) in enumeration order.
     """
-    limit = effective_cap(CHECK_CAP) if cap is None else cap
-    if n > limit:
-        raise ValueError(f"n={n} exceeds orthocomplement check cap {limit}")
-    universe = enumerate_partitions(n, cap=limit)
+    _check_cap(n, CHECK_CAP, "orthocomplement check")
+    universe = enumerate_partitions(n)
     for a in universe:
         if a not in mapping:
             raise ValueError(f"map is not total: no image for {a}")
@@ -82,7 +79,7 @@ def _cover_counts(universe) -> tuple[list[int], list[int]]:
 
 
 def _search(n: int, pruned: bool) -> dict[Partition, Partition] | None:
-    universe = enumerate_partitions(n, cap=n)
+    universe = enumerate_partitions(n)
     parts = universe.partitions
     size = len(parts)
     compl = [[j for j, q in enumerate(parts) if is_complement(p, q)]
@@ -109,7 +106,7 @@ def _search(n: int, pruned: bool) -> dict[Partition, Partition] | None:
             pos += 1
         if pos == size:
             mapping = {parts[i]: parts[image[i]] for i in range(size)}
-            report = check_ortho_map(mapping, n, cap=n)
+            report = check_ortho_map(mapping, n)
             return mapping if report.ok else None
         i = order[pos]
         for j in compl[i]:
@@ -140,18 +137,14 @@ def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partit
     means no map exists.  n <= 4 runs as is; n = 5 only with
     ``exhaustive=True`` (it is settled faster by the counting witness).
     """
-    limit = effective_cap(SEARCH_CAP_EXHAUSTIVE if exhaustive else SEARCH_CAP)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds orthocomplement search cap {limit}")
+    _check_cap(n, SEARCH_CAP_EXHAUSTIVE if exhaustive else SEARCH_CAP,
+               "orthocomplement search")
     return _search(n, pruned=True)
 
 
 def brute_search_orthocomplementation(n: int) -> dict[Partition, Partition] | None:
     """Unpruned variant (complement pairing only): cross-check oracle."""
-    if n > 4:
-        raise ValueError("unpruned search is limited to n <= 4")
+    _check_cap(n, SEARCH_CAP, "unpruned orthocomplement search")
     return _search(n, pruned=False)
 
 
@@ -171,8 +164,7 @@ def non_ortho_witness(n: int) -> NonOrthoWitness:
     """
     if n < 5:
         raise ValueError("the counting witness needs n >= 5")
-    atom_count = comb(n, 2)
-    coatom_count = (1 << (n - 1)) - 1
+    atom_count, coatom_count = _atom_coatom_counts(n)
     assert atom_count < coatom_count
     return NonOrthoWitness(
         n=n,

@@ -16,13 +16,18 @@ inside a block separated by single spaces, e.g. ``"0 2|1 3"``.
 
 Input is validated once, where it enters the package.  ``Partition(n,
 masks)``, ``Partition.parse``, ``from_blocks``, ``from_labels`` and
-``from_json`` check their input in full; functions that take a size n from
-a caller (``bottom``, ``top``, ``diag``, ``atoms``, ``coatoms``,
-``iter_partitions``, ...) check it against the ground cap once per call.
-Partitions the package derives itself are built by ``_trusted(n, masks)``,
-which sorts, checks and reads nothing: its masks must be non-empty,
-disjoint, cover 0..n-1 and be sorted by least element, and n must already
-have been checked.
+``from_json`` check their input in full.  Partitions the package derives
+itself are built by ``_trusted(n, masks)``, which sorts, checks and reads
+nothing: its masks must be non-empty, disjoint, cover 0..n-1 and be sorted
+by least element, and n must already have been checked.
+
+Sizes follow one rule.  Every function that takes a size n from a caller
+makes one call to ``_check_cap(n, default, what)``, which refuses any n
+outside 0..cap.  The cap is the function's default (the ground cap of 128
+for ``bottom``, ``top``, ``diag``, ``coatoms`` and the constructors, a
+smaller one for each exhaustive operation), and PILAT_MAX_N, when set,
+replaces every default at once.  No operation's default exceeds the
+default of an operation it calls, so an inner check never fails.
 """
 from __future__ import annotations
 
@@ -53,10 +58,15 @@ def ground_cap() -> int:
     return effective_cap(DEFAULT_GROUND_CAP)
 
 
-def _check_size(n: int) -> None:
-    cap = ground_cap()
+def _check_cap(n: int, default: int, what: str) -> None:
+    """Refuse n outside 0..cap, where PILAT_MAX_N replaces the default cap."""
+    cap = effective_cap(default)
     if not 0 <= n <= cap:
-        raise ValueError(f"ground-set size {n} outside 0..{cap}")
+        raise ValueError(f"{what} cap {cap}: n={n} outside 0..{cap}")
+
+
+def _check_size(n: int) -> None:
+    _check_cap(n, DEFAULT_GROUND_CAP, "ground-set")
 
 
 def _low(mask: int) -> int:
@@ -127,6 +137,7 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
+        _check_size(n)
         masks = []
         seen = 0
         for block in blocks:
@@ -147,7 +158,6 @@ class Partition:
         if seen != (1 << n) - 1:
             missing = _mask_elements(((1 << n) - 1) & ~seen)
             raise ValueError(f"missing elements {list(missing)}")
-        _check_size(n)
         return _trusted(n, sorted(masks, key=_low))
 
     @classmethod

@@ -64,10 +64,10 @@ def complement_scan():
     scan, and the count of complements at the maximum block number."""
     table = {}
     for n in range(2, 8):
-        universe = enumerate_partitions(n, cap=n)
+        universe = enumerate_partitions(n)
         rows = []
         for p in universe.partitions:
-            fast = enumerate_complements(p, cap=n)
+            fast = enumerate_complements(p)
             slow = naive_complements(p, universe)
             target = p.n - p.block_count + 1
             at_target = sum(1 for q in fast if q.block_count == target)
@@ -94,7 +94,7 @@ def test_c02_atom_and_coatom_counts():
             assert len(atoms(n)) == math.comb(n, 2)
             assert len(coatoms(n)) == 2 ** (n - 1) - 1
         for n in range(2, 8):
-            universe = enumerate_partitions(n, cap=n).partitions
+            universe = enumerate_partitions(n).partitions
             assert set(atoms(n)) == {p for p in universe
                                      if covers(bottom(n), p)}
             assert set(coatoms(n)) == {p for p in universe
@@ -156,7 +156,7 @@ def test_c06_construction_families():
                    "injection families are distinct verified complements "
                    "for every eligible partition, n <= 6"):
         for n in range(1, 7):
-            for p in enumerate_partitions(n, cap=n).partitions:
+            for p in enumerate_partitions(n).partitions:
                 if any(len(b) >= 2 for b in p.blocks):
                     family = list(split_transversal_family(p))
                     assert len(family) == 2 ** (p.block_count - 1)

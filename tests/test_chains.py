@@ -212,6 +212,15 @@ def test_inbetween_interpolates():
         plan.inbetween(3, 0)
 
 
+def test_keyframe_k_follows_from_the_ground_cap(monkeypatch):
+    with pytest.raises(ValueError, match="ground cap 128"):
+        KeyframePlan(10**12)  # refused without building 2^k
+    monkeypatch.setenv("PILAT_MAX_N", "4")
+    assert len(keyframe_chain(2)) == 4
+    with pytest.raises(ValueError, match="ground cap 4"):
+        keyframe_chain(3)
+
+
 def test_keyframe_cap():
     with pytest.raises(ValueError, match="cap"):
         keyframe_chain(8)

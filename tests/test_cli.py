@@ -1,10 +1,12 @@
 """Command-line interface: output formats, exit codes, determinism."""
 import hashlib
 import json
+import random
 
 import pytest
 
-from pilat.cli import main
+from pilat import Partition, covers, iter_partitions, keyframe_chain
+from pilat.cli import HASSE_VERSION, _hasse_dot, main
 
 CENSUS3 = """\
 # pilat census v1
@@ -38,6 +40,20 @@ def test_enumerate_counts(capsys):
     rc, out, _ = run(capsys, "enumerate", "--n", "10", "--counts")
     assert rc == 0
     assert out == "n=10 bell=115975 atoms=45 coatoms=511\n"
+
+
+def test_enumerate_counts_at_the_counting_cap(capsys):
+    rc, out, _ = run(capsys, "enumerate", "--n", "26", "--counts")
+    assert rc == 0
+    assert out == "n=26 bell=49631246523618756274 atoms=325 coatoms=33554431\n"
+
+
+def test_enumerate_counts_over_the_cap_exit_2(capsys):
+    # the cap is checked before 2^(n-1) - 1 is built, so a huge n cannot
+    # overflow or exhaust memory
+    for n in ("27", "-1", str(10**19)):
+        rc, out, err = run(capsys, "enumerate", "--n", n, "--counts")
+        assert rc == 2 and out == "" and "cap 26" in err
 
 
 def test_enumerate_writes_output_file(capsys, tmp_path):
@@ -266,6 +282,29 @@ def test_hasse_from_chain_file(capsys, tmp_path):
     assert out.count("->") == 2
 
 
+def _hasse_all_pairs(parts):
+    """Oracle: the DOT text from a scan of every ordered pair."""
+    lines = [HASSE_VERSION, "digraph partitions {", "  rankdir=BT;"]
+    lines += [f'  "{p.format()}";' for p in parts]
+    lines += [f'  "{p.format()}" -> "{q.format()}";'
+              for p in parts for q in parts if covers(p, q)]
+    lines.append("}")
+    return "".join(line + "\n" for line in lines)
+
+
+def test_hasse_matches_all_pairs_scan(capsys, tmp_path):
+    for n in range(6):
+        parts = list(iter_partitions(n))
+        assert _hasse_dot(parts) == _hasse_all_pairs(parts)
+    parts = keyframe_chain(3) + [Partition.parse("0 4|1 5|2 6|3 7", 8)]
+    random.Random(0).shuffle(parts)
+    chain_file = tmp_path / "chain.txt"
+    chain_file.write_text("".join(p.format() + "\n" for p in parts))
+    rc, out, _ = run(capsys, "hasse", "--chain", str(chain_file))
+    assert rc == 0 and out == _hasse_all_pairs(parts)
+    assert out.count("->") > 0
+
+
 def test_hasse_requires_exactly_one_source(capsys):
     rc, _, err = run(capsys, "hasse")
     assert rc == 2
@@ -296,6 +335,19 @@ def test_env_cap_lowers_limits(capsys, monkeypatch):
     assert rc == 2
     rc, out, _ = run(capsys, "enumerate", "--n", "3")
     assert rc == 0
+
+
+def test_env_cap_replaces_counting_and_search_caps(capsys, monkeypatch):
+    monkeypatch.setenv("PILAT_MAX_N", "30")
+    rc, out, _ = run(capsys, "enumerate", "--n", "27", "--counts")
+    assert rc == 0
+    assert out == "n=27 bell=545717047936059989389 atoms=351 coatoms=67108863\n"
+    monkeypatch.delenv("PILAT_MAX_N")
+    rc, _, err = run(capsys, "ortho", "search", "--n", "5")
+    assert rc == 2 and "cap 4" in err
+    monkeypatch.setenv("PILAT_MAX_N", "5")
+    rc, out, _ = run(capsys, "ortho", "search", "--n", "5")
+    assert rc == 0 and out == "none\n"
 
 
 def test_env_cap_raises_limits(capsys, monkeypatch):

@@ -99,6 +99,21 @@ def test_stirling_values():
         stirling2(27, 3)
 
 
+def test_counting_is_not_recursive(monkeypatch):
+    monkeypatch.setenv("PILAT_MAX_N", "1500")
+    assert stirling2(1200, 2) == 2 ** 1199 - 1
+    assert stirling2(1200, 1199) == math.comb(1200, 2)
+    # Bell triangle: a row starts with the last entry of the one before, which
+    # after m rows is B(m + 1)
+    row = [1]
+    for _ in range(1199):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    assert bell(1200) == row[-1]
+
+
 def test_bell_is_row_sum_of_stirling():
     for n in range(13):
         assert bell(n) == sum(stirling2(n, k) for k in range(n + 1))
@@ -145,6 +160,12 @@ def test_atoms_coatoms_match_cover_scan():
         universe = enumerate_partitions(n).partitions
         assert set(atoms(n)) == {p for p in universe if covers(bottom(n), p)}
         assert set(coatoms(n)) == {p for p in universe if covers(p, top(n))}
+
+
+def test_closed_form_counts_match_the_lists():
+    from pilat.enumeration import _atom_coatom_counts
+    for n in range(11):
+        assert _atom_coatom_counts(n) == (len(atoms(n)), len(coatoms(n)))
 
 
 def test_upper_cover_count_is_block_pairs():

@@ -164,6 +164,14 @@ def test_cover_counts_match_pairwise_scan():
         assert _cover_counts(universe) == (below, above)
 
 
+def test_unpruned_search_honours_env_cap(monkeypatch):
+    monkeypatch.setenv("PILAT_MAX_N", "5")
+    assert brute_search_orthocomplementation(5) is None
+    monkeypatch.setenv("PILAT_MAX_N", "3")
+    with pytest.raises(ValueError, match="cap 3"):
+        brute_search_orthocomplementation(4)
+
+
 def test_exhaustive_search_honours_env_cap(monkeypatch):
     monkeypatch.setenv("PILAT_MAX_N", "4")
     with pytest.raises(ValueError, match="cap 4"):

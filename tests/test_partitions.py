@@ -1,4 +1,5 @@
 """Core partition type: construction, canonical form, and lattice operations."""
+import argparse
 import json
 
 import pytest
@@ -6,16 +7,31 @@ from hypothesis import given, settings
 
 from pilat import (
     Partition,
+    bell,
     bottom,
+    brute_search_orthocomplementation,
+    check_ortho_map,
+    coatoms,
     comparable,
+    complement_census,
     covers,
     diag,
+    enumerate_complements,
+    enumerate_maximal_chains,
     enumerate_partitions,
+    extend_to_maximal_antichain,
+    iter_partitions,
     join,
     leq,
     meet,
+    naive_complements,
+    relative_complement_in,
+    search_orthocomplementation,
+    stirling2,
     top,
+    verify_antichain,
 )
+from pilat.cli import _cmd_hasse
 from strats import partition_pairs, partition_triples, partitions
 
 
@@ -252,6 +268,62 @@ def test_ground_cap_env_override(monkeypatch):
     with pytest.raises(ValueError, match="outside 0..3"):
         bottom(4)
     assert bottom(3).n == 3
+
+
+def test_from_blocks_checks_the_size_first():
+    with pytest.raises(ValueError, match="cap 128: n=200"):
+        Partition.parse("0", 200)
+    # a check after the block scan would list 999 999 missing elements first
+    with pytest.raises(ValueError, match="cap 128: n=1000000"):
+        Partition.parse("0", 10**6)
+
+
+# Every entry point that takes a size n from its caller, called with that n.
+SIZED = {
+    "Partition": lambda n: Partition(n, ()),
+    "from_blocks": lambda n: Partition.from_blocks(n, []),
+    "bottom": bottom,
+    "top": top,
+    "coatoms": coatoms,
+    "iter_partitions": lambda n: list(iter_partitions(n)),
+    "enumerate_partitions": enumerate_partitions,
+    "stirling2": lambda n: stirling2(n, 0),
+    "bell": bell,
+    "enumerate_maximal_chains": enumerate_maximal_chains,
+    "verify_antichain": lambda n: verify_antichain([], n),
+    "extend_to_maximal_antichain": lambda n: extend_to_maximal_antichain([], n),
+    "complement_census": complement_census,
+    "check_ortho_map": lambda n: check_ortho_map({}, n),
+    "search_orthocomplementation": search_orthocomplementation,
+    "search_orthocomplementation_exhaustive":
+        lambda n: search_orthocomplementation(n, exhaustive=True),
+    "brute_search_orthocomplementation": brute_search_orthocomplementation,
+    "hasse": lambda n: _cmd_hasse(argparse.Namespace(n=n, chain=None, antichain=None,
+                                                     output=None)),
+}
+
+# Entry points that read n from a partition, which cannot have n < 0.
+ON_PARTITION = {
+    "enumerate_complements": enumerate_complements,
+    "naive_complements": naive_complements,
+    "relative_complement_in": lambda p: relative_complement_in(p, p, p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_every_size_cap_follows_one_rule(monkeypatch, name):
+    monkeypatch.setenv("PILAT_MAX_N", "3")
+    for n in (4, -1):
+        with pytest.raises(ValueError, match=rf"cap 3: n={n} outside 0\.\.3"):
+            SIZED[name](n)
+
+
+@pytest.mark.parametrize("name", sorted(ON_PARTITION))
+def test_every_partition_cap_follows_one_rule(monkeypatch, name):
+    p = bottom(4)
+    monkeypatch.setenv("PILAT_MAX_N", "3")
+    with pytest.raises(ValueError, match=r"cap 3: n=4 outside 0\.\.3"):
+        ON_PARTITION[name](p)
 
 
 # ------------------------------------------------- trusted internal producers
