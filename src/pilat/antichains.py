@@ -7,7 +7,7 @@ is decided by streaming the whole lattice, so it is gated on small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .enumeration import atoms, coatoms, iter_partitions
 from .partitions import Partition, _check_cap, comparable
@@ -32,6 +32,17 @@ def _comparable_pair(members: list[Partition]) -> tuple[Partition, Partition] | 
     return None
 
 
+def _incomparable(chosen: list[Partition], n: int) -> Iterator[Partition]:
+    """Yield, in RGS order, each partition of Pi_n that is not in ``chosen``
+    and is incomparable to every member of it.  ``chosen`` is read afresh
+    for each candidate, so a caller may append the yielded partitions."""
+    _check_cap(n, ANTICHAIN_CAP, "antichain maximality")
+    have = set(chosen)  # a partition appended later is never met again
+    for q in iter_partitions(n):
+        if q not in have and not any(comparable(q, p) for p in chosen):
+            yield q
+
+
 def verify_antichain(members: Iterable[Partition], n: int, *,
                      check_maximal: bool = True) -> AntichainReport:
     """Check pairwise incomparability and (optionally) maximality in Pi_n."""
@@ -46,14 +57,8 @@ def verify_antichain(members: Iterable[Partition], n: int, *,
         return AntichainReport(False, None, witness=pair)
     if not check_maximal:
         return AntichainReport(True, None)
-    _check_cap(n, ANTICHAIN_CAP, "antichain maximality")
-    mem_set = set(mem)
-    for q in iter_partitions(n):
-        if q in mem_set:
-            continue
-        if not any(comparable(q, p) for p in mem):
-            return AntichainReport(True, False, witness=q)
-    return AntichainReport(True, True)
+    witness = next(_incomparable(mem, n), None)
+    return AntichainReport(True, witness is None, witness=witness)
 
 
 def doubleton_antichain(n: int) -> list[Partition]:
@@ -63,9 +68,10 @@ def doubleton_antichain(n: int) -> list[Partition]:
     and jointly maximal (every non-trivial partition coarsens one of them
     and bottom refines all of them); for n = 2 the single member is top.
     """
+    members = atoms(n)  # the ground-cap check comes before the n < 2 test
     if n < 2:
         raise ValueError("need n >= 2")
-    return atoms(n)
+    return members
 
 
 def bipartition_antichain(n: int) -> list[Partition]:
@@ -74,9 +80,10 @@ def bipartition_antichain(n: int) -> list[Partition]:
     Pairwise incomparable, and maximal: every partition with two or more
     blocks refines some two-block partition, and top coarsens them all.
     """
+    members = coatoms(n)
     if n < 2:
         raise ValueError("need n >= 2")
-    return coatoms(n)
+    return members
 
 
 def extend_to_maximal_antichain(members: Iterable[Partition], n: int) -> list[Partition]:
@@ -87,19 +94,9 @@ def extend_to_maximal_antichain(members: Iterable[Partition], n: int) -> list[Pa
     result contains the input; feeding a maximal antichain returns it
     unchanged (up to order).
     """
-    mem = list(members)
-    for p in mem:
-        if p.n != n:
-            raise ValueError(f"ground-set mismatch: {p.n} vs {n}")
-    if _comparable_pair(mem) is not None:
+    chosen = list(dict.fromkeys(members))
+    if not verify_antichain(chosen, n, check_maximal=False).is_antichain:
         raise ValueError("input is not an antichain")
-    _check_cap(n, ANTICHAIN_CAP, "antichain maximality")
-    chosen = list(dict.fromkeys(mem))
-    have = set(chosen)
-    for q in iter_partitions(n):
-        if q in have:
-            continue
-        if not any(comparable(q, p) for p in chosen):
-            chosen.append(q)
-            have.add(q)
+    for q in _incomparable(chosen, n):
+        chosen.append(q)
     return chosen

@@ -244,10 +244,12 @@ def fin(k: int) -> Cardinal:
     return Cardinal(k, None)
 
 
+def _ordinal(x: Ordinal | int) -> Ordinal:
+    return Ordinal.from_int(x) if isinstance(x, int) else x
+
+
 def aleph(index: Ordinal | int) -> Cardinal:
-    if isinstance(index, int):
-        index = Ordinal.from_int(index)
-    return Cardinal(None, index)
+    return Cardinal(None, _ordinal(index))
 
 
 ALEPH0 = aleph(0)
@@ -276,11 +278,7 @@ class ContinuumModel:
     def __init__(self, gch: bool = False,
                  continuum: Mapping[Ordinal | int, Ordinal | int] | None = None):
         self.gch = gch
-        entries: dict[Ordinal, Ordinal] = {}
-        for k, v in (continuum or {}).items():
-            kk = Ordinal.from_int(k) if isinstance(k, int) else k
-            vv = Ordinal.from_int(v) if isinstance(v, int) else v
-            entries[kk] = vv
+        entries = {_ordinal(k): _ordinal(v) for k, v in (continuum or {}).items()}
         if gch and entries:
             raise ValueError("GCH leaves nothing to pin")
         self.continuum = dict(sorted(entries.items(), key=lambda kv: kv[0]))

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import (Partition, _check_cap, _mask_elements, _trusted, bottom, covers,
-                         diag, ground_cap, top)
+from .partitions import (Partition, _check_cap, _members_mask, _trusted, _with_singletons,
+                         bottom, covers, ground_cap, top)
 
 MAXCHAIN_CAP = 6
 
@@ -27,10 +27,10 @@ class ChainReport:
     partition for a non-saturated gap, or the missing endpoint."""
 
 
-def _eligible_merge(lo: Partition, hi: Partition) -> tuple[int, int]:
-    """Indices of the two blocks of lo to merge one step toward hi.
+def _step_between(lo: Partition, hi: Partition) -> Partition:
+    """lo with two blocks merged, one step toward hi.
 
-    Among block pairs of lo lying inside one block of hi, picks the pair
+    Among block pairs of lo lying inside one block of hi, merges the pair
     with the smallest block minima (ties cannot occur).  Requires lo < hi.
     """
     hi_labels = hi.labels
@@ -44,12 +44,7 @@ def _eligible_merge(lo: Partition, hi: Partition) -> tuple[int, int]:
             second[group] = idx
     assert second, "no mergeable pair: lo is not strictly below hi"
     # blocks are in least-element order, so index order is minima order
-    return min((first[g], second[g]) for g in second)
-
-
-def _step_between(lo: Partition, hi: Partition) -> Partition:
-    i, j = _eligible_merge(lo, hi)
-    return lo.merge_blocks(i, j)
+    return lo.merge_blocks(*min((first[g], second[g]) for g in second))
 
 
 def verify_chain(chain: Sequence[Partition]) -> ChainReport:
@@ -81,8 +76,6 @@ def extend_to_maximal(chain: Sequence[Partition]) -> list[Partition]:
     repeatedly merging the two blocks with the smallest minima that lie in
     one block of the gap's upper end.  The result has exactly n elements.
     """
-    if not chain:
-        raise ValueError("empty sequence")
     report = verify_chain(chain)
     if not report.is_chain:
         raise ValueError(f"input is not a chain (witness {report.witness})")
@@ -127,18 +120,14 @@ def lift_subset_chain(sets: Sequence[Iterable[int]], n: int) -> list[Partition]:
     into the partition lattice via diag."""
     masks = []
     for s in sets:
-        mask = 0
-        for e in s:
-            if not 0 <= e < n:
-                raise ValueError(f"element {e} outside ground set 0..{n - 1}")
-            mask |= 1 << e
+        mask = _members_mask(s, n)
         if mask.bit_count() < 2:
             raise ValueError("subsets must have at least two elements")
         masks.append(mask)
     for a, b in zip(masks, masks[1:]):
         if a == b or a & ~b:
             raise ValueError("subsets must be strictly increasing")
-    return [diag(_mask_elements(m), n) for m in masks]
+    return [_with_singletons(n, [m]) for m in masks]
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ the built-in size caps.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -101,15 +99,12 @@ def _cmd_antichains(args) -> int:
 
 def _cmd_complements(args) -> int:
     rows = co.complement_census(args.n, jobs=args.jobs)
-    buf = io.StringIO()
-    buf.write(CENSUS_VERSION + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["partition", "m", "block_sizes", "total", "count_nm1", "grieser"])
+    # no field holds a comma, quote or newline, so no CSV quoting is needed
+    lines = [CENSUS_VERSION, "partition,m,block_sizes,total,count_nm1,grieser"]
     for row in rows:
-        writer.writerow([row.partition, row.m,
-                         "+".join(str(s) for s in row.block_sizes),
-                         row.total, row.count_nm1, row.grieser])
-    _emit(buf.getvalue(), args.output)
+        lines.append(",".join(map(str, [row.partition, row.m, "+".join(map(str, row.block_sizes)),
+                                        row.total, row.count_nm1, row.grieser])))
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 
@@ -140,7 +135,7 @@ def _load_model(source: str) -> card.ContinuumModel:
 def _cmd_cardinal(args) -> int:
     model = _load_model(args.model)
     result = card.evaluate(args.expr, model)
-    sys.stdout.write(card.format_result(result) + "\n")
+    _emit(card.format_result(result) + "\n")
     return 0
 
 

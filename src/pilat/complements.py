@@ -181,12 +181,10 @@ def split_transversal_complement(p: Partition, *,
     if not (pivot_mask >> iota) & 1 or not (pivot_mask >> upsilon) & 1:
         raise ValueError("marked elements must lie in the pivot block")
     others = [b for b in range(p.block_count) if b != pivot]
-    reps: dict[int, int] = {}
-    for b in others:
-        reps[b] = p.blocks[b][0]
+    reps = {b: p.blocks[b][0] for b in others}  # keyed by the valid non-pivot indices
     if gamma:
         for b, e in gamma.items():
-            if b == pivot or not 0 <= b < p.block_count:
+            if b not in reps:
                 raise ValueError(f"bad block index {b} in gamma")
             if not (p.masks[b] >> e) & 1:
                 raise ValueError(f"element {e} not in block {b}")
@@ -195,7 +193,7 @@ def split_transversal_complement(p: Partition, *,
     if len(ones) != len(part_one):
         raise ValueError("duplicate block index in part_one")
     for b in ones:
-        if b == pivot or not 0 <= b < p.block_count:
+        if b not in reps:
             raise ValueError(f"bad block index {b} in part_one")
     twos = [b for b in others if b not in set(ones)]
     q_one = (1 << iota) | sum(1 << reps[b] for b in ones)

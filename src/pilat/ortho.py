@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .complements import is_complement
 from .enumeration import _atom_coatom_counts, enumerate_partitions
-from .partitions import Partition, _check_cap
+from .partitions import Partition, _check_cap, _check_size
 
 CHECK_CAP = 6
 SEARCH_CAP = 4
@@ -162,6 +162,7 @@ def non_ortho_witness(n: int) -> NonOrthoWitness:
     An order-reversing involution matches the covers of bottom with the
     cocovers of top, but C(n, 2) < 2^(n-1) - 1 from n = 5 on.
     """
+    _check_size(n)
     if n < 5:
         raise ValueError("the counting witness needs n >= 5")
     atom_count, coatom_count = _atom_coatom_counts(n)

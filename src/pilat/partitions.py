@@ -24,9 +24,10 @@ by least element, and n must already have been checked.
 Sizes follow one rule.  Every function that takes a size n from a caller
 makes one call to ``_check_cap(n, default, what)``, which refuses any n
 outside 0..cap.  The cap is the function's default (the ground cap of 128
-for ``bottom``, ``top``, ``diag``, ``coatoms`` and the constructors, a
-smaller one for each exhaustive operation), and PILAT_MAX_N, when set,
-replaces every default at once.  No operation's default exceeds the
+for the constructors, ``bottom``, ``top``, ``diag``, ``atoms``, ``coatoms``,
+``lift_subset_chain``, ``doubleton_antichain``, ``bipartition_antichain``
+and ``non_ortho_witness``, a smaller one for each exhaustive operation),
+and PILAT_MAX_N, when set, replaces every default at once.  No operation's default exceeds the
 default of an operation it calls, so an inner check never fails.
 """
 from __future__ import annotations
@@ -67,6 +68,17 @@ def _check_cap(n: int, default: int, what: str) -> None:
 
 def _check_size(n: int) -> None:
     _check_cap(n, DEFAULT_GROUND_CAP, "ground-set")
+
+
+def _members_mask(members: Iterable[int], n: int) -> int:
+    """Mask of ``members``, after checking n and then each element's range."""
+    _check_size(n)
+    mask = 0
+    for e in members:
+        if not 0 <= e < n:
+            raise ValueError(f"element {e} outside ground set 0..{n - 1}")
+        mask |= 1 << e
+    return mask
 
 
 def _low(mask: int) -> int:
@@ -323,14 +335,9 @@ def diag(members: Iterable[int], n: int) -> Partition:
     into the partition lattice and preserves order, so subset chains lift to
     partition chains.
     """
-    mask = 0
-    for e in members:
-        if not 0 <= e < n:
-            raise ValueError(f"element {e} outside ground set 0..{n - 1}")
-        mask |= 1 << e
+    mask = _members_mask(members, n)
     if mask == 0:
         raise ValueError("diag needs a non-empty member set")
-    _check_size(n)
     return _with_singletons(n, [mask])
 
 

@@ -1,5 +1,6 @@
 """Antichain verification and the two canonical constructions."""
 import math
+import random
 
 import pytest
 
@@ -146,3 +147,49 @@ def test_extend_results_are_maximal():
 def test_extend_rejects_non_antichain():
     with pytest.raises(ValueError, match="antichain"):
         extend_to_maximal_antichain([bottom(3), top(3)], 3)
+
+
+# ------------------------------------------------------- oracle for the sweep
+
+def _reference_witness(members, n):
+    """The first partition, in RGS order, outside members and incomparable to all."""
+    have = set(members)
+    for q in iter_partitions(n):
+        if q in have:
+            continue
+        if not any(comparable(q, p) for p in members):
+            return q
+    return None
+
+
+def _reference_extend(members, n):
+    chosen = list(dict.fromkeys(members))
+    have = set(chosen)
+    for q in iter_partitions(n):
+        if q in have:
+            continue
+        if not any(comparable(q, p) for p in chosen):
+            chosen.append(q)
+            have.add(q)
+    return chosen
+
+
+def _random_antichain(parts, rng):
+    chosen = []
+    for q in rng.sample(parts, rng.randint(0, len(parts))):
+        if not any(comparable(q, p) for p in chosen):
+            chosen.append(q)
+    return chosen
+
+
+def test_sweep_matches_reference_loops():
+    rng = random.Random(5)
+    for n in range(6):
+        parts = list(iter_partitions(n))
+        seeds = [[p] for p in parts] + [_random_antichain(parts, rng) for _ in range(8)]
+        for seed in seeds:
+            witness = _reference_witness(seed, n)
+            report = verify_antichain(seed, n)
+            assert report.witness == witness
+            assert report.is_maximal == (witness is None)
+            assert extend_to_maximal_antichain(seed, n) == _reference_extend(seed, n)

@@ -199,6 +199,18 @@ def test_ortho_witness_small_n(capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_ortho_witness_follows_the_ground_cap(capsys, monkeypatch):
+    # 10**19 would otherwise build 2^(10**19 - 1) and run out of memory
+    for n in (str(10**19), "129"):
+        rc, out, err = run(capsys, "ortho", "witness", "--n", n)
+        assert rc == 2 and out == "" and "ground-set cap 128" in err
+    rc, out, _ = run(capsys, "ortho", "witness", "--n", "128")
+    assert rc == 0 and out.startswith("n=128 atoms=8128 coatoms=")
+    monkeypatch.setenv("PILAT_MAX_N", "200")
+    rc, out, _ = run(capsys, "ortho", "witness", "--n", "200")
+    assert rc == 0 and out.startswith("n=200 atoms=19900 coatoms=")
+
+
 # ------------------------------------------------------------------- cardinal
 
 def test_cardinal_eval_gch(capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 
 from pilat import (
     Partition,
+    atoms,
     bell,
+    bipartition_antichain,
     bottom,
     brute_search_orthocomplementation,
     check_ortho_map,
@@ -16,6 +18,7 @@ from pilat import (
     complement_census,
     covers,
     diag,
+    doubleton_antichain,
     enumerate_complements,
     enumerate_maximal_chains,
     enumerate_partitions,
@@ -23,8 +26,10 @@ from pilat import (
     iter_partitions,
     join,
     leq,
+    lift_subset_chain,
     meet,
     naive_complements,
+    non_ortho_witness,
     relative_complement_in,
     search_orthocomplementation,
     stirling2,
@@ -122,6 +127,9 @@ def test_diag_singular_partitions():
         diag(set(), 3)
     with pytest.raises(ValueError):
         diag({0, 5}, 3)
+    # the size is checked before the elements
+    with pytest.raises(ValueError, match="cap 128: n=200"):
+        diag([300], 200)
 
 
 def test_diag_preserves_subset_order():
@@ -285,6 +293,12 @@ SIZED = {
     "bottom": bottom,
     "top": top,
     "coatoms": coatoms,
+    "atoms": atoms,
+    "diag": lambda n: diag([0], n),
+    "lift_subset_chain": lambda n: lift_subset_chain([[0, 1]], n),
+    "doubleton_antichain": doubleton_antichain,
+    "bipartition_antichain": bipartition_antichain,
+    "non_ortho_witness": non_ortho_witness,
     "iter_partitions": lambda n: list(iter_partitions(n)),
     "enumerate_partitions": enumerate_partitions,
     "stirling2": lambda n: stirling2(n, 0),
