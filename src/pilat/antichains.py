@@ -2,15 +2,17 @@
 
 An antichain is a set of pairwise incomparable partitions; it is maximal
 when every partition outside it is comparable to some member.  Maximality
-is decided by streaming the whole lattice, so it is gated on small n.
+is decided by one depth-first walk over the restricted-growth-string tree
+of Pi_n, with the members as the bits of two integers (see
+``_incomparable``); the walk is exhaustive, so it is gated on small n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .enumeration import atoms, coatoms, iter_partitions
-from .partitions import Partition, _check_cap, comparable
+from .enumeration import atoms, coatoms
+from .partitions import Partition, _check_cap, _mask_elements, _trusted, comparable
 
 ANTICHAIN_CAP = 10
 
@@ -33,14 +35,97 @@ def _comparable_pair(members: list[Partition]) -> tuple[Partition, Partition] | 
 
 
 def _incomparable(chosen: list[Partition], n: int) -> Iterator[Partition]:
-    """Yield, in RGS order, each partition of Pi_n that is not in ``chosen``
-    and is incomparable to every member of it.  ``chosen`` is read afresh
-    for each candidate, so a caller may append the yielded partitions."""
+    """Yield, in RGS order, each partition q of Pi_n that is incomparable to
+    every member of ``chosen`` and to every partition yielded before it: the
+    greedy completion of ``chosen`` to a maximal antichain.  Its first item
+    is the first partition incomparable to all of ``chosen``.
+
+    One iterative depth-first walk visits the prefixes of q in lexicographic
+    RGS order (Knuth, TAOCP 4A, 7.2.1.5), placing element e into an open
+    block or a new one.  Member i is bit i of two integers:
+
+    * ``leq``: the members a for which q <= a is still possible, i.e. each
+      placed element lies in the a-block of the least element of its q-block;
+    * ``geq``: the members a for which a <= q is still possible, i.e. each
+      placed element lies in one q-block with the least element of its
+      a-block.
+
+    Two tables over the members, built once, update them per step:
+    ``same[e][f]`` holds the members with e and f in one block, and
+    ``first[e][f]`` the members whose block holding e has least element f
+    (f <= e).  Putting e into the block B with least element ``anchor`` does
+    ``leq &= same[e][anchor]`` and ``geq &= first[e][e] | OR of first[e][f]
+    over f in B``; opening a new block does ``geq &= first[e][e]``.  The
+    bitsets only lose bits, so a leaf with both 0 is a witness, and once both
+    are 0 at an inner node the first witness below puts every remaining
+    element in block 0, which the walk reaches without reading the tables.
+    A member is comparable to itself, so no member is ever yielded.
+
+    A yielded q gets a new bit and new table entries, and its bit is set in
+    the saved bitsets of every depth: each of them belongs to a prefix of q,
+    so both relations to q are still possible there.
+    """
     _check_cap(n, ANTICHAIN_CAP, "antichain maximality")
-    have = set(chosen)  # a partition appended later is never met again
-    for q in iter_partitions(n):
-        if q not in have and not any(comparable(q, p) for p in chosen):
-            yield q
+    same = [[0] * (e + 1) for e in range(n)]
+    first = [[0] * (e + 1) for e in range(n)]
+    leq = [0] * (n + 1)  # leq[d], geq[d]: the bitsets of the prefix of length d
+    geq = [0] * (n + 1)
+
+    def add(p: Partition, bit: int) -> None:
+        for m in p.masks:
+            block = _mask_elements(m)
+            for i, e in enumerate(block):
+                first[e][block[0]] |= bit
+                row = same[e]
+                for f in block[:i]:
+                    row[f] |= bit
+        for d in range(n + 1):
+            leq[d] |= bit
+            geq[d] |= bit
+
+    for i, p in enumerate(chosen):
+        add(p, 1 << i)
+    bit = 1 << len(chosen)
+    label = [0] * n         # label[e]: the q-block of e on the current path
+    blocks: list[list[int]] = []  # the q-blocks of the current prefix
+    e, j = 0, 0             # place element e into block j next
+    while True:
+        if e == n:
+            if not leq[n] | geq[n]:
+                q = _trusted(n, [sum(1 << f for f in b) for b in blocks])
+                yield q
+                add(q, bit)
+                bit <<= 1
+        elif j <= len(blocks):
+            lq, gq = leq[e], geq[e]
+            if j == len(blocks):
+                blocks.append([e])
+                gq &= first[e][e]
+            else:
+                block = blocks[j]
+                if lq | gq:  # else both stay 0 and no table is read
+                    lq &= same[e][block[0]]
+                    row = first[e]
+                    g = row[e]
+                    for f in block:
+                        g |= row[f]
+                    gq &= g
+                block.append(e)
+            label[e] = j
+            e += 1
+            leq[e], geq[e] = lq, gq
+            j = 0
+            continue
+        # every label of element e is done: back up to element e - 1
+        e -= 1
+        if e < 0:
+            return
+        j = label[e]
+        block = blocks[j]
+        block.pop()
+        if not block:
+            blocks.pop()
+        j += 1
 
 
 def verify_antichain(members: Iterable[Partition], n: int, *,
@@ -97,6 +182,4 @@ def extend_to_maximal_antichain(members: Iterable[Partition], n: int) -> list[Pa
     chosen = list(dict.fromkeys(members))
     if not verify_antichain(chosen, n, check_maximal=False).is_antichain:
         raise ValueError("input is not an antichain")
-    for q in _incomparable(chosen, n):
-        chosen.append(q)
-    return chosen
+    return chosen + list(_incomparable(chosen, n))

@@ -129,7 +129,11 @@ def _load_model(source: str) -> card.ContinuumModel:
     if source == "gch":
         return card.GCH
     with open(source, encoding="utf-8") as fh:
-        return card.ContinuumModel.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{source}: JSON nested too deeply") from None
+    return card.ContinuumModel.from_json(data)
 
 
 def _cmd_cardinal(args) -> int:

@@ -10,6 +10,7 @@ from pilat import (
     bottom,
     coatoms,
     comparable,
+    diag,
     doubleton_antichain,
     extend_to_maximal_antichain,
     iter_partitions,
@@ -184,7 +185,7 @@ def _random_antichain(parts, rng):
 
 def test_sweep_matches_reference_loops():
     rng = random.Random(5)
-    for n in range(6):
+    for n in range(7):
         parts = list(iter_partitions(n))
         seeds = [[p] for p in parts] + [_random_antichain(parts, rng) for _ in range(8)]
         for seed in seeds:
@@ -193,3 +194,31 @@ def test_sweep_matches_reference_loops():
             assert report.witness == witness
             assert report.is_maximal == (witness is None)
             assert extend_to_maximal_antichain(seed, n) == _reference_extend(seed, n)
+
+
+def test_extend_appends_after_a_deep_first_witness():
+    # Each partition the walk appends gets a bit in the saved bitsets of every
+    # depth.  Seeds whose first witness lies in the second half of the RGS
+    # order make the walk append deep in the tree and then walk on.
+    rng = random.Random(6)
+    n = 6
+    parts = list(iter_partitions(n))
+    position = {p: i for i, p in enumerate(parts)}
+    deep = 0
+    for _ in range(300):
+        seed = _random_antichain(parts, rng)
+        witness = _reference_witness(seed, n)
+        if witness is None or position[witness] < len(parts) // 2:
+            continue
+        expected = _reference_extend(seed, n)
+        assert extend_to_maximal_antichain(seed, n) == expected
+        deep += len(expected) - len(seed) >= 2
+    assert deep >= 5
+
+
+def test_walk_is_not_recursive(monkeypatch):
+    monkeypatch.setenv("PILAT_MAX_N", "2000")
+    n = 1100
+    report = verify_antichain([diag([n - 2, n - 1], n)], n)
+    assert report.is_antichain and report.is_maximal is False
+    assert report.witness.format() == " ".join(map(str, range(n - 1))) + f"|{n - 1}"

@@ -2,6 +2,7 @@
 grammar."""
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilat import (
     Cardinal,
@@ -42,6 +43,33 @@ def test_ordinal_format_round_trip():
     for text in ["0", "5", "w", "w+1", "w*2", "w^2*3+w+5", "w^w",
                  "w^(w+1)", "w^(w^w)", "w^(w^2+1)*4+w^3+2"]:
         assert format_ordinal(parse_ordinal(text)) == text
+
+
+_ints = st.integers(0, 12).map(str)
+_coefficients = st.one_of(st.just(""), st.integers(1, 12).map("*{}".format))
+
+
+def _ordinal_sums(exponents):
+    """Texts of the grammar: sums of INT and w[^EXP][*INT] terms."""
+    terms = st.one_of(_ints, st.builds("w{}{}".format,
+                                       st.one_of(st.just(""), exponents.map("^{}".format)),
+                                       _coefficients))
+    return st.lists(terms, min_size=1, max_size=4).map("+".join)
+
+
+ordinal_texts = st.recursive(
+    _ordinal_sums(st.one_of(_ints, st.just("w"))),
+    lambda inner: _ordinal_sums(st.one_of(_ints, st.just("w"), inner.map("({})".format))),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200)
+@given(ordinal_texts)
+def test_ordinal_text_is_a_fixed_point_after_one_round(text):
+    once = format_ordinal(parse_ordinal(text))
+    assert parse_ordinal(once) == parse_ordinal(text)
+    assert format_ordinal(parse_ordinal(once)) == once
 
 
 def test_ordinal_parse_variants():

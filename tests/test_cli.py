@@ -262,6 +262,16 @@ def test_cardinal_eval_deep_nesting(capsys):
     assert "nested too deeply" in err
 
 
+def test_cardinal_eval_deep_model_file(capsys, tmp_path):
+    # json.load raises RecursionError on arrays nested about 1000 deep
+    for depth in (1000, 100_000):
+        model = tmp_path / "deep.json"
+        model.write_text("[" * depth)
+        rc, out, err = run(capsys, "cardinal", "eval", "fin(1)", "--model", str(model))
+        assert rc == 2 and out == ""
+        assert "nested too deeply" in err
+
+
 # ---------------------------------------------------------------------- hasse
 
 def test_hasse_full_lattice(capsys):

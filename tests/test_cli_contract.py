@@ -155,6 +155,10 @@ all_argv = st.one_of(enumerate_argv, keyframe_argv, antichains_argv, census_argv
 @settings(deadline=None, max_examples=300)
 @given(all_argv)
 @example((["ortho", "witness", "--n", str(HUGE)], {}))
+# Hypothesis raises the recursion limit while a test runs: 1000 "[", enough
+# for a RecursionError from the command line, meets only a syntax error here.
+@example((["cardinal", "eval", "fin(1)", "--model", "model.json"],
+          {"model.json": "[" * 100_000}))
 def test_cli_exit_contract(case):
     argv, files = case
     here = os.getcwd()

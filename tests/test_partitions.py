@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilat import (
     Partition,
@@ -227,6 +228,12 @@ def test_covers_matches_no_strictly_between():
 
 
 # ----------------------------------------------------------------- properties
+
+@settings(max_examples=200)
+@given(st.integers(0, 12).flatmap(partitions))
+def test_parse_inverts_format(p):
+    assert Partition.parse(p.format(), p.n) == p
+
 
 @settings(max_examples=200)
 @given(partition_pairs())
