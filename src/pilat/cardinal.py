@@ -296,14 +296,28 @@ class ContinuumModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "ContinuumModel":
+        """The model a JSON object describes: {"gch": bool, "continuum": {ord: ord}}.
+
+        Both keys are optional and no other key is allowed.  Hashing and
+        comparing ordinals recurses on their nesting, so an ordinal nested
+        beyond the interpreter's recursion limit is rejected as bad input.
+        """
         if not isinstance(data, dict):
             raise ValueError("model file must hold a JSON object")
-        gch = bool(data.get("gch", False))
+        for key in data:
+            if key not in ("gch", "continuum"):
+                raise ValueError(f"unknown model key {key!r}")
+        gch = data.get("gch", False)
+        if not isinstance(gch, bool):
+            raise ValueError("'gch' must be true or false")
         raw = data.get("continuum", {})
         if not isinstance(raw, dict):
             raise ValueError("'continuum' must be an object")
-        cont = {parse_ordinal(str(k)): parse_ordinal(str(v)) for k, v in raw.items()}
-        return cls(gch=gch, continuum=cont)
+        try:
+            cont = {parse_ordinal(str(k)): parse_ordinal(str(v)) for k, v in raw.items()}
+            return cls(gch=gch, continuum=cont)
+        except RecursionError:
+            raise ValueError("model nested too deeply") from None
 
     def __repr__(self) -> str:
         if self.gch:

@@ -8,6 +8,7 @@ inserted anywhere".  Every maximal chain of Pi_n has exactly n elements.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -98,21 +99,24 @@ def extend_to_maximal(chain: Sequence[Partition]) -> list[Partition]:
 def enumerate_maximal_chains(n: int) -> Iterator[tuple[Partition, ...]]:
     """Stream every maximal chain of Pi_n exactly once (small n only)."""
     _check_cap(n, MAXCHAIN_CAP, "maximal-chain")
+    return _maximal_chains(n)  # not a generator itself: the cap is checked at call time
+
+
+def _maximal_chains(n: int) -> Iterator[tuple[Partition, ...]]:
+    """Depth-first walk up from bottom: each step merges a pair of blocks,
+    pairs in lexicographic index order, and a chain ends at one block."""
     path = [bottom(n)]
-
-    def rec() -> Iterator[tuple[Partition, ...]]:
-        cur = path[-1]
-        b = cur.block_count
-        if b == 1 or cur.n == 0:
+    pairs = [itertools.combinations(range(n), 2)]  # pairs[d]: block pairs of path[d] left
+    while path:
+        pair = next(pairs[-1], None)
+        if pair is not None:
+            path.append(path[-1].merge_blocks(*pair))
+            pairs.append(itertools.combinations(range(path[-1].block_count), 2))
+            continue
+        if path[-1].block_count <= 1:
             yield tuple(path)
-            return
-        for i in range(b):
-            for j in range(i + 1, b):
-                path.append(cur.merge_blocks(i, j))
-                yield from rec()
-                path.pop()
-
-    return rec()
+        path.pop()
+        pairs.pop()
 
 
 def lift_subset_chain(sets: Sequence[Iterable[int]], n: int) -> list[Partition]:

@@ -144,16 +144,17 @@ def _cmd_cardinal(args) -> int:
 
 
 def _hasse_dot(parts: list[Partition]) -> str:
+    labels = [p.format() for p in parts]  # by index, so a repeated input line repeats its node
     lines = [HASSE_VERSION, "digraph partitions {", "  rankdir=BT;"]
-    by_count: dict[int, list[Partition]] = {}
-    for p in parts:
-        lines.append(f'  "{p.format()}";')
-        by_count.setdefault(p.block_count, []).append(p)
-    for p in parts:
+    by_count: dict[int, list[int]] = {}
+    for i, p in enumerate(parts):
+        lines.append(f'  "{labels[i]}";')
+        by_count.setdefault(p.block_count, []).append(i)
+    for i, p in enumerate(parts):
         # an upper cover has exactly one block fewer
-        for q in by_count.get(p.block_count - 1, ()):
-            if covers(p, q):
-                lines.append(f'  "{p.format()}" -> "{q.format()}";')
+        for k in by_count.get(p.block_count - 1, ()):
+            if covers(p, parts[k]):
+                lines.append(f'  "{labels[i]}" -> "{labels[k]}";')
     lines.append("}")
     return "".join(line + "\n" for line in lines)
 

@@ -6,9 +6,11 @@ of P (meet condition), and the union of both block structures connects the
 whole ground set (join condition).
 
 The module provides a naive filtering oracle, a pruned backtracking
-enumerator that must agree with it, the classic product formula for the
-number of complements with exactly n - m + 1 blocks, and two explicit
-constructions that each produce families of pairwise distinct complements.
+enumerator that must agree with it (one iterative depth-first walk over the
+restricted growth strings of Q, see ``enumerate_complements``), the classic
+product formula for the number of complements with exactly n - m + 1
+blocks, and two explicit constructions that each produce families of
+pairwise distinct complements.
 """
 from __future__ import annotations
 
@@ -51,81 +53,75 @@ def naive_complements(p: Partition, universe: LatticeUniverse | None = None) -> 
 def enumerate_complements(p: Partition) -> list[Partition]:
     """All complements of p, by pruned backtracking, in RGS order.
 
-    Elements are assigned to blocks of the candidate Q one at a time.  A
-    block may take at most one element per block of p (else the meet is not
-    bottom).  Connectivity is tracked over p's blocks: each assignment to
-    an existing block can fuse at most two connected pieces, so a branch
-    dies as soon as the remaining assignments cannot reach one piece.
+    One iterative depth-first walk visits the restricted growth strings of
+    the candidate Q in lexicographic order (Knuth, TAOCP 4A, 7.2.1.5),
+    placing element e into an open block of Q or a new one.  A block may
+    take at most one element per block of p (else the meet is not bottom).
+    Connectivity is tracked by a union-find over p's blocks: a placement
+    fuses at most two pieces, the root it absorbs is kept per depth and
+    undone on the way back, and a branch dies as soon as the remaining
+    placements cannot reach one piece.
     """
     n = p.n
     _check_cap(n, COMPLEMENT_CAP, "complement enumeration")
-    if n == 0:
-        return [_trusted(0, ())]
     pblock = p.labels
-    m = p.block_count
-
-    parent = list(range(m))
-    size = [1] * m
-    trail: list[int] = []
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-        trail.append(rb)
-        return True
-
-    def undo() -> None:
-        rb = trail.pop()
-        ra = parent[rb]
-        parent[rb] = rb
-        size[ra] -= size[rb]
-
+    parent = list(range(p.block_count))  # union-find over p's blocks
+    pieces = p.block_count    # its roots: the pieces Q's prefix has not yet joined
+    absorbed = [-1] * n       # absorbed[e]: the root that placing e joined to another, or -1
+    label = [0] * n           # label[e]: the Q-block of e on the current path
     qmask: list[int] = []     # elements of each open block of Q
     qused: list[int] = []     # bitmask of p-block indices present in it
     qanchor: list[int] = []   # p-block of the block's first element
     out: list[Partition] = []
-
-    def rec(e: int, pieces: int) -> None:
+    e, j = 0, 0               # place element e into block j next
+    while True:
         if pieces - 1 > n - e:
-            return  # cannot connect any more
-        if e == n:
-            if pieces == 1:
-                out.append(_trusted(n, qmask))
-            return
-        pb = pblock[e]
-        bit = 1 << pb
-        here = 1 << e
-        for j in range(len(qmask)):
-            if qused[j] & bit:
-                continue
-            qmask[j] |= here
-            qused[j] |= bit
-            merged = union(qanchor[j], pb)
-            rec(e + 1, pieces - merged)
-            if merged:
-                undo()
-            qused[j] &= ~bit
-            qmask[j] &= ~here
-        qmask.append(here)
-        qused.append(bit)
-        qanchor.append(pb)
-        rec(e + 1, pieces)
-        qanchor.pop()
-        qused.pop()
-        qmask.pop()
-
-    rec(0, m)
-    return out
+            pass  # the remaining placements cannot connect the pieces
+        elif e == n:
+            out.append(_trusted(n, qmask))  # here pieces == 1
+        elif j < len(qmask) and qused[j] >> pblock[e] & 1:
+            j += 1
+            continue
+        elif j <= len(qmask):
+            pb = pblock[e]
+            absorbed[e] = -1
+            if j == len(qmask):
+                qmask.append(1 << e)
+                qused.append(1 << pb)
+                qanchor.append(pb)
+            else:
+                qmask[j] |= 1 << e
+                qused[j] |= 1 << pb
+                a = qanchor[j]
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[pb] != pb:
+                    pb = parent[pb]
+                if pb != a:
+                    parent[pb] = a
+                    absorbed[e] = pb
+                    pieces -= 1
+            label[e] = j
+            e += 1
+            j = 0
+            continue
+        # every block for element e is done: back up to element e - 1
+        e -= 1
+        if e < 0:
+            return out
+        j = label[e]
+        if qmask[j] == 1 << e:  # e opened block j, the last one
+            qmask.pop()
+            qused.pop()
+            qanchor.pop()
+        else:
+            qmask[j] ^= 1 << e
+            qused[j] ^= 1 << pblock[e]
+            root = absorbed[e]
+            if root >= 0:
+                parent[root] = root
+                pieces += 1
+        j += 1
 
 
 def grieser_count(p: Partition) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping
 
-from .complements import is_complement
+from .complements import enumerate_complements
 from .enumeration import _atom_coatom_counts, enumerate_partitions
 from .partitions import Partition, _check_cap, _check_size
 
@@ -82,8 +82,7 @@ def _search(n: int, pruned: bool) -> dict[Partition, Partition] | None:
     universe = enumerate_partitions(n)
     parts = universe.partitions
     size = len(parts)
-    compl = [[j for j, q in enumerate(parts) if is_complement(p, q)]
-             for p in parts]
+    compl = [[universe.index_of(q) for q in enumerate_complements(p)] for p in parts]
     below, above = _cover_counts(universe)
     le = [[parts[i] <= parts[j] for j in range(size)] for i in range(size)]
     # assign high-rank elements first: their candidate lists are shortest

@@ -296,6 +296,10 @@ def test_model_round_trips_through_json():
         ContinuumModel.from_json([1, 2])
     with pytest.raises(ValueError):
         ContinuumModel.from_json({"continuum": "nope"})
+    with pytest.raises(ValueError, match="'gch' must be true or false"):
+        ContinuumModel.from_json({"gch": "false"})
+    with pytest.raises(ValueError, match="unknown model key 'continum'"):
+        ContinuumModel.from_json({"continum": {"1": "3"}})
 
 
 # -------------------------------------------------------- sums and products

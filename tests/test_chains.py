@@ -142,6 +142,14 @@ def test_maximal_chains_match_subset_scan():
         assert found == set(map(tuple, enumerate_maximal_chains(n)))
 
 
+def test_maximal_chains_are_not_recursive(monkeypatch):
+    monkeypatch.setenv("PILAT_MAX_N", "2000")
+    n = 1100
+    chain = next(enumerate_maximal_chains(n))
+    assert len(chain) == n
+    assert chain[0] == bottom(n) and chain[-1] == top(n)
+
+
 def test_enumerate_cap():
     with pytest.raises(ValueError, match="cap"):
         enumerate_maximal_chains(7)

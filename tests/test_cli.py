@@ -263,10 +263,13 @@ def test_cardinal_eval_deep_nesting(capsys):
 
 
 def test_cardinal_eval_deep_model_file(capsys, tmp_path):
-    # json.load raises RecursionError on arrays nested about 1000 deep
-    for depth in (1000, 100_000):
+    # json.load raises RecursionError on arrays nested about 1000 deep, and
+    # building the model on ordinal keys nested a few hundred deep
+    key = _nested_ordinal(300)
+    deep_key = json.dumps({"continuum": {f"{key}+1": f"{key}+3"}})
+    for text in ("[" * 1000, "[" * 100_000, deep_key):
         model = tmp_path / "deep.json"
-        model.write_text("[" * depth)
+        model.write_text(text)
         rc, out, err = run(capsys, "cardinal", "eval", "fin(1)", "--model", str(model))
         assert rc == 2 and out == ""
         assert "nested too deeply" in err

@@ -94,7 +94,7 @@ def test_complement_count_example():
 
 
 def test_enumeration_matches_oracle():
-    for n in range(6):
+    for n in range(7):
         universe = enumerate_partitions(n)
         for p in universe.partitions:
             fast = enumerate_complements(p)
@@ -108,6 +108,13 @@ def test_enumeration_yields_in_universe_order():
         got = enumerate_complements(p)
         idx = [universe.index_of(q) for q in got]
         assert idx == sorted(idx)
+
+
+def test_complement_walk_is_not_recursive(monkeypatch):
+    monkeypatch.setenv("PILAT_MAX_N", "2000")
+    n = 1100
+    assert enumerate_complements(top(n)) == [bottom(n)]
+    assert enumerate_complements(bottom(n)) == [top(n)]
 
 
 def test_enumeration_cap():
