@@ -59,8 +59,10 @@ def verify_chain(chain: Sequence[Partition]) -> ChainReport:
     for i in range(len(chain) - 1):
         if not chain[i] < chain[i + 1]:
             return ChainReport(False, False, False, witness=(i, i + 1))
+    # each pair is now known to satisfy chain[i] < chain[i + 1], so it is a
+    # covering pair exactly when it loses one block (see ``covers``)
     for i in range(len(chain) - 1):
-        if not covers(chain[i], chain[i + 1]):
+        if chain[i].block_count != chain[i + 1].block_count + 1:
             return ChainReport(True, False, False,
                                witness=_step_between(chain[i], chain[i + 1]))
     if chain[0] != bottom(n):

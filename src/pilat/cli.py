@@ -9,6 +9,7 @@ the built-in size caps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,7 +19,7 @@ from . import chains as ch
 from . import complements as co
 from . import ortho
 from .enumeration import _atom_coatom_counts, bell, iter_partitions
-from .partitions import Partition, _check_cap, covers, effective_cap
+from .partitions import Partition, _check_cap, _format_many, covers, effective_cap
 
 HASSE_CAP = 7
 CENSUS_VERSION = "# pilat census v1"
@@ -43,6 +44,11 @@ def _read_partition_file(path: str) -> list[Partition]:
     return [Partition.parse(line, n) for line in lines]
 
 
+def _listing(parts) -> str:
+    """One partition per line."""
+    return "".join(line + "\n" for line in _format_many(parts))
+
+
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -57,15 +63,13 @@ def _cmd_enumerate(args) -> int:
         _emit(f"n={args.n} bell={bell_n} atoms={atom_count} coatoms={coatom_count}\n",
               args.output)
         return 0
-    lines = [p.format() for p in iter_partitions(args.n)]
-    _emit("".join(line + "\n" for line in lines), args.output)
+    _emit(_listing(iter_partitions(args.n)), args.output)
     return 0
 
 
 def _cmd_chains(args) -> int:
     if args.chains_cmd == "keyframe":
-        chain = ch.keyframe_chain(args.k)
-        _emit("".join(p.format() + "\n" for p in chain), args.output)
+        _emit(_listing(ch.keyframe_chain(args.k)), args.output)
         return 0
     # verify
     chain = _read_partition_file(args.file)
@@ -83,7 +87,7 @@ def _cmd_antichains(args) -> int:
     members = (ac.doubleton_antichain(args.n) if args.antichain_kind == "doubleton"
                else ac.bipartition_antichain(args.n))
     if not args.verify:
-        _emit("".join(p.format() + "\n" for p in members), args.output)
+        _emit(_listing(members), args.output)
         return 0
     check_max = args.n <= effective_cap(ac.ANTICHAIN_CAP)
     report = ac.verify_antichain(members, args.n, check_maximal=check_max)
@@ -118,10 +122,9 @@ def _cmd_ortho(args) -> int:
     if found is None:
         _emit("none\n")
         return 0
-    lines = ["found"]
-    for p in iter_partitions(args.n):
-        lines.append(f"{p.format()} -> {found[p].format()}")
-    _emit("".join(line + "\n" for line in lines))
+    parts = list(iter_partitions(args.n))
+    text = dict(zip(parts, _format_many(parts)))  # found maps Pi_n into itself
+    _emit("found\n" + "".join(f"{text[p]} -> {text[found[p]]}\n" for p in parts))
     return 0
 
 
@@ -144,7 +147,7 @@ def _cmd_cardinal(args) -> int:
 
 
 def _hasse_dot(parts: list[Partition]) -> str:
-    labels = [p.format() for p in parts]  # by index, so a repeated input line repeats its node
+    labels = _format_many(parts)  # by index, so a repeated input line repeats its node
     lines = [HASSE_VERSION, "digraph partitions {", "  rankdir=BT;"]
     by_count: dict[int, list[int]] = {}
     for i, p in enumerate(parts):
@@ -175,6 +178,7 @@ def _cmd_hasse(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache  # built on the first main call, not at import; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="pilat",
                                   description="partition lattice toolkit")

@@ -1,6 +1,7 @@
 """Chain verification, deterministic saturation, exhaustive and keyframe chains."""
 import itertools
 import math
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from pilat import (
     top,
     verify_chain,
 )
+from pilat.chains import ChainReport, _step_between
 
 
 def P(text, n):
@@ -71,6 +73,45 @@ def test_verify_rejects_bad_input():
         verify_chain([])
     with pytest.raises(ValueError, match="ground"):
         verify_chain([bottom(3), top(4)])
+
+
+def _verify_chain_by_covers(chain):
+    """Oracle: the verdict from ``<`` and then ``covers`` on each consecutive pair."""
+    n = chain[0].n
+    pairs = list(zip(chain, chain[1:]))
+    for i, (lo, hi) in enumerate(pairs):
+        if not lo < hi:
+            return ChainReport(False, False, False, witness=(i, i + 1))
+    for lo, hi in pairs:
+        if not covers(lo, hi):
+            return ChainReport(True, False, False, witness=_step_between(lo, hi))
+    if chain[0] != bottom(n):
+        return ChainReport(True, True, False, witness=bottom(n))
+    if chain[-1] != top(n):
+        return ChainReport(True, True, False, witness=top(n))
+    return ChainReport(True, True, True)
+
+
+@pytest.mark.parametrize("n", [4, 8, 128])
+def test_verify_chain_matches_covers_oracle(n):
+    rng = random.Random(n)
+    for _ in range(6):
+        chain = [bottom(n)]
+        while chain[-1].block_count > 1:
+            chain.append(chain[-1].merge_blocks(*rng.sample(range(chain[-1].block_count), 2)))
+        gap = rng.randrange(1, n - 1)
+        swap = rng.randrange(n - 1)
+        swapped = chain[:swap] + [chain[swap + 1], chain[swap]] + chain[swap + 2:]
+        kinds = {"maximal": (chain, (True, True, True)),
+                 "missing-bottom": (chain[1:], (True, True, False)),
+                 "missing-top": (chain[:-1], (True, True, False)),
+                 "unsaturated": (chain[:gap] + chain[gap + 1:], (True, False, False)),
+                 "swapped": (swapped, (False, False, False))}
+        for kind, (seq, verdict) in kinds.items():
+            report = verify_chain(seq)
+            assert report == _verify_chain_by_covers(seq), kind
+            assert (report.is_chain, report.is_saturated, report.is_maximal) == verdict, kind
+        assert chain[gap - 1] < verify_chain(kinds["unsaturated"][0]).witness < chain[gap + 1]
 
 
 # ----------------------------------------------------------------- extension

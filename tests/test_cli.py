@@ -1,7 +1,11 @@
 """Command-line interface: output formats, exit codes, determinism."""
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -397,11 +401,72 @@ GOLDEN = [
      "ecf77c6bbb71a4daf89ea49fe31dcb0f0d61594811af83bf0c1e089f029e60e7"),
     (("ortho", "search", "--n", "4"),
      "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
+    # recorded before bulk output shared one block text per mask
+    (("ortho", "search", "--n", "2"),
+     "a10ac0439b1316f085e281d28f5f312f670b0e73e568b5a492cc85b2c56e692c"),
+    (("antichains", "doubleton", "--n", "5"),
+     "133187db97a65dd97af36150cd072512bf3a5cdfca9d3429b778db6e8adfb425"),
+    (("enumerate", "--n", "8"),
+     "6992617bb6f30d6fdb3189bc9363c06c4ab9eb3bba04373356a47dd7ff021da3"),
+    (("hasse", "--chain", "@repeated.txt"),
+     "4df39228a29c455e9f874b513560a6711d35f9fd3f8aedc43bdaaf45815d3b16"),
 ]
+
+# files named by an "@name" argument above; a repeated line repeats its node
+GOLDEN_FILES = {
+    "repeated.txt": ("0|1|2|3|4|5|6|7\n0 1|2|3|4|5|6|7\n0 1|2 3|4|5|6|7\n"
+                     "0 1|2 3|4|5|6|7\n0 1 2 3|4|5|6|7\n0 4|1 5|2 6|3 7\n"
+                     "0 1 2 3|4 5 6 7\n0 1 2 3 4 5 6 7\n"),
+}
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_golden_stdout(capsys, argv, digest):
+def test_golden_stdout(capsys, tmp_path, argv, digest):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+
+# ------------------------------------------------------------- parser reuse
+
+# Counts ArgumentParser constructions (the top parser and each subparser) in
+# a fresh interpreter: after importing pilat.cli, then after each main call.
+PARSER_PROBE = """
+import argparse, contextlib, io, json, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import pilat.cli
+report = {"import": built, "calls": []}
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = pilat.cli.main(argv)
+    report["calls"].append([rc, out.getvalue(), err.getvalue(), built])
+print(json.dumps(report))
+"""
+
+
+def test_parser_is_built_once_on_the_first_call():
+    good = ["cardinal", "eval", "pow(aleph(0), aleph(0))"]
+    bad = ["cardinal", "eval", "fin(1)", "--bogus"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", PARSER_PROBE, json.dumps([good, bad, good])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == 0
+    (rc1, out1, err1, built1), (rc2, out2, err2, built2), (rc3, out3, err3, built3) = \
+        report["calls"]
+    assert (rc1, out1, err1) == (0, "aleph(1)\n", "")
+    assert rc2 == 2 and out2 == "" and "unrecognized arguments: --bogus" in err2
+    assert (rc3, out3, err3) == (rc1, out1, err1)
+    assert built1 > 1 and built1 == built2 == built3  # the whole tree, once

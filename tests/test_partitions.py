@@ -1,6 +1,7 @@
 """Core partition type: construction, canonical form, and lattice operations."""
 import argparse
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from pilat import (
     verify_antichain,
 )
 from pilat.cli import _cmd_hasse
+from pilat.partitions import _format_many
 from strats import partition_pairs, partition_triples, partitions
 
 
@@ -82,6 +84,38 @@ def test_labels_are_restricted_growth():
     assert Partition.parse("0 2|1 3", 4).labels == (0, 1, 0, 1)
     assert Partition.parse("0|1|2", 3).labels == (0, 1, 2)
     assert Partition.parse("0 1 2", 3).labels == (0, 0, 0)
+
+
+def _random_partitions(seed, n):
+    """Seeded partitions of every coarseness, with partitions and blocks repeated."""
+    rng = random.Random(seed)
+    parts = [bottom(n), top(n)]
+    for k in (2, 3, 5, 17, 64, n):
+        parts += [Partition.from_labels([rng.randrange(k) for _ in range(n)]) for _ in range(4)]
+    parts += [p.merge_blocks(0, p.block_count - 1) for p in parts if p.block_count > 1]
+    parts += rng.sample(parts, 12)
+    rng.shuffle(parts)
+    return parts
+
+
+def test_format_many_matches_joined_blocks():
+    def oracle(parts):
+        return ["|".join(" ".join(map(str, b)) for b in p.blocks) for p in parts]
+
+    for n in range(8):
+        parts = list(iter_partitions(n))
+        assert _format_many(parts) == oracle(parts)
+    parts = _random_partitions(8, 128)
+    assert len(set(parts)) < len(parts)
+    assert _format_many(parts) == oracle(parts)
+    assert [p.format() for p in parts] == oracle(parts)
+    assert _format_many([]) == []
+
+
+def test_labels_match_blocks():
+    for p in _random_partitions(9, 128) + list(iter_partitions(5)):
+        assert p.labels == tuple(next(j for j, b in enumerate(p.blocks) if e in b)
+                                 for e in range(p.n))
 
 
 def test_blocks_and_sizes():
