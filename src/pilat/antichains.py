@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .enumeration import atoms, coatoms
-from .partitions import Partition, _check_cap, _mask_elements, _trusted, comparable
+from .partitions import (Partition, _check_cap, _checked_members, _mask_elements, _trusted,
+                         comparable)
 
 ANTICHAIN_CAP = 10
 
@@ -131,10 +132,7 @@ def _incomparable(chosen: list[Partition], n: int) -> Iterator[Partition]:
 def verify_antichain(members: Iterable[Partition], n: int, *,
                      check_maximal: bool = True) -> AntichainReport:
     """Check pairwise incomparability and (optionally) maximality in Pi_n."""
-    mem = list(members)
-    for p in mem:
-        if p.n != n:
-            raise ValueError(f"ground-set mismatch: {p.n} vs {n}")
+    mem = _checked_members(members, n)
     if len(set(mem)) != len(mem):
         raise ValueError("duplicate members")
     pair = _comparable_pair(mem)

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import (Partition, _check_cap, _members_mask, _trusted, _with_singletons,
-                         bottom, covers, ground_cap, top)
+from .partitions import (Partition, _check_cap, _checked_members, _members_mask, _trusted,
+                         _with_singletons, bottom, covers, ground_cap, top)
 
 MAXCHAIN_CAP = 6
 
@@ -52,10 +52,8 @@ def verify_chain(chain: Sequence[Partition]) -> ChainReport:
     """Classify a sequence as chain / saturated / maximal, with a witness."""
     if not chain:
         raise ValueError("empty sequence")
-    n = chain[0].n
-    for p in chain:
-        if p.n != n:
-            raise ValueError(f"ground-set mismatch: {p.n} vs {n}")
+    n = getattr(chain[0], "n", None)  # a first member that is no Partition fails the check
+    chain = _checked_members(chain, n)
     for i in range(len(chain) - 1):
         if not chain[i] < chain[i + 1]:
             return ChainReport(False, False, False, witness=(i, i + 1))

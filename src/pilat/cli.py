@@ -5,6 +5,12 @@ hasse.  Exit codes: 0 success, 1 a requested verification came back false,
 2 usage errors (bad flags, malformed input, caps exceeded).  Output is
 deterministic byte for byte; the PILAT_MAX_N environment variable replaces
 the built-in size caps.
+
+Each ``_cmd_*`` handler returns ``(exit_code, lines)`` and writes nothing.
+``main`` is the one writer: after the handler has returned, it joins the
+lines, each ending in a newline, and writes the text to ``--output`` when
+that option is set, otherwise to stdout.  A handler that raises has written
+nothing, so exit 2 leaves stdout empty and no ``--output`` file is opened.
 """
 from __future__ import annotations
 
@@ -26,14 +32,6 @@ CENSUS_VERSION = "# pilat census v1"
 HASSE_VERSION = "// pilat hasse v1"
 
 
-def _emit(text: str, out_path: str | None = None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _read_partition_file(path: str) -> list[Partition]:
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -44,11 +42,6 @@ def _read_partition_file(path: str) -> list[Partition]:
     return [Partition.parse(line, n) for line in lines]
 
 
-def _listing(parts) -> str:
-    """One partition per line."""
-    return "".join(line + "\n" for line in _format_many(parts))
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -56,21 +49,17 @@ def _yesno(flag: bool) -> str:
 # -- subcommands ------------------------------------------------------------
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[int, list[str]]:
     if args.counts:
         bell_n = bell(args.n)  # checks the counting cap before 2^(n-1) is built
         atom_count, coatom_count = _atom_coatom_counts(args.n)
-        _emit(f"n={args.n} bell={bell_n} atoms={atom_count} coatoms={coatom_count}\n",
-              args.output)
-        return 0
-    _emit(_listing(iter_partitions(args.n)), args.output)
-    return 0
+        return 0, [f"n={args.n} bell={bell_n} atoms={atom_count} coatoms={coatom_count}"]
+    return 0, _format_many(iter_partitions(args.n))
 
 
-def _cmd_chains(args) -> int:
+def _cmd_chains(args) -> tuple[int, list[str]]:
     if args.chains_cmd == "keyframe":
-        _emit(_listing(ch.keyframe_chain(args.k)), args.output)
-        return 0
+        return 0, _format_many(ch.keyframe_chain(args.k))
     # verify
     chain = _read_partition_file(args.file)
     report = ch.verify_chain(chain)
@@ -79,16 +68,14 @@ def _cmd_chains(args) -> int:
            f"maximal: {_yesno(report.is_maximal)}"]
     if report.witness is not None:
         out.append(f"witness: {report.witness}")
-    _emit("".join(line + "\n" for line in out))
-    return 0 if report.is_chain else 1
+    return 0 if report.is_chain else 1, out
 
 
-def _cmd_antichains(args) -> int:
+def _cmd_antichains(args) -> tuple[int, list[str]]:
     members = (ac.doubleton_antichain(args.n) if args.antichain_kind == "doubleton"
                else ac.bipartition_antichain(args.n))
     if not args.verify:
-        _emit(_listing(members), args.output)
-        return 0
+        return 0, _format_many(members)
     check_max = args.n <= effective_cap(ac.ANTICHAIN_CAP)
     report = ac.verify_antichain(members, args.n, check_maximal=check_max)
     out = [f"size: {len(members)}",
@@ -96,36 +83,31 @@ def _cmd_antichains(args) -> int:
            f"maximal: {'skipped' if report.is_maximal is None else _yesno(report.is_maximal)}"]
     if report.witness is not None:
         out.append(f"witness: {report.witness}")
-    _emit("".join(line + "\n" for line in out), args.output)
     ok = report.is_antichain and report.is_maximal is not False
-    return 0 if ok else 1
+    return 0 if ok else 1, out
 
 
-def _cmd_complements(args) -> int:
+def _cmd_complements(args) -> tuple[int, list[str]]:
     rows = co.complement_census(args.n, jobs=args.jobs)
     # no field holds a comma, quote or newline, so no CSV quoting is needed
     lines = [CENSUS_VERSION, "partition,m,block_sizes,total,count_nm1,grieser"]
     for row in rows:
         lines.append(",".join(map(str, [row.partition, row.m, "+".join(map(str, row.block_sizes)),
                                         row.total, row.count_nm1, row.grieser])))
-    _emit("".join(line + "\n" for line in lines), args.output)
-    return 0
+    return 0, lines
 
 
-def _cmd_ortho(args) -> int:
+def _cmd_ortho(args) -> tuple[int, list[str]]:
     if args.ortho_cmd == "witness":
         w = ortho.non_ortho_witness(args.n)
-        _emit(f"n={w.n} atoms={w.atom_count} coatoms={w.coatom_count}\n"
-              f"no orthocomplementation: {w.reason}\n")
-        return 0
+        return 0, [f"n={w.n} atoms={w.atom_count} coatoms={w.coatom_count}",
+                   f"no orthocomplementation: {w.reason}"]
     found = ortho.search_orthocomplementation(args.n, exhaustive=args.exhaustive)
     if found is None:
-        _emit("none\n")
-        return 0
+        return 0, ["none"]
     parts = list(iter_partitions(args.n))
     text = dict(zip(parts, _format_many(parts)))  # found maps Pi_n into itself
-    _emit("found\n" + "".join(f"{text[p]} -> {text[found[p]]}\n" for p in parts))
-    return 0
+    return 0, ["found", *(f"{text[p]} -> {text[found[p]]}" for p in parts)]
 
 
 def _load_model(source: str) -> card.ContinuumModel:
@@ -139,14 +121,12 @@ def _load_model(source: str) -> card.ContinuumModel:
     return card.ContinuumModel.from_json(data)
 
 
-def _cmd_cardinal(args) -> int:
-    model = _load_model(args.model)
-    result = card.evaluate(args.expr, model)
-    _emit(card.format_result(result) + "\n")
-    return 0
+def _cmd_cardinal(args) -> tuple[int, list[str]]:
+    result = card.evaluate(args.expr, _load_model(args.model))
+    return 0, [card.format_result(result)]
 
 
-def _hasse_dot(parts: list[Partition]) -> str:
+def _hasse_dot(parts: list[Partition]) -> list[str]:
     labels = _format_many(parts)  # by index, so a repeated input line repeats its node
     lines = [HASSE_VERSION, "digraph partitions {", "  rankdir=BT;"]
     by_count: dict[int, list[int]] = {}
@@ -159,10 +139,10 @@ def _hasse_dot(parts: list[Partition]) -> str:
             if covers(p, parts[k]):
                 lines.append(f'  "{labels[i]}" -> "{labels[k]}";')
     lines.append("}")
-    return "".join(line + "\n" for line in lines)
+    return lines
 
 
-def _cmd_hasse(args) -> int:
+def _cmd_hasse(args) -> tuple[int, list[str]]:
     sources = [src for src in (args.n, args.chain, args.antichain) if src is not None]
     if len(sources) != 1:
         raise ValueError("give exactly one of --n, --chain, --antichain")
@@ -171,8 +151,7 @@ def _cmd_hasse(args) -> int:
         parts = list(iter_partitions(args.n))
     else:
         parts = _read_partition_file(args.chain or args.antichain)
-    _emit(_hasse_dot(parts), args.output)
-    return 0
+    return 0, _hasse_dot(parts)
 
 
 # -- parser -----------------------------------------------------------------
@@ -248,10 +227,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        code, lines = args.func(args)
+        text = "\n".join([*lines, ""])
+        out_path = getattr(args, "output", None)  # not every subcommand has --output
+        if out_path:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def entry() -> None:

@@ -21,7 +21,8 @@ from math import prod
 from typing import Iterator, Mapping
 
 from .enumeration import LatticeUniverse, enumerate_partitions, iter_partitions
-from .partitions import Partition, _check_cap, _join_masks, _trusted, _with_singletons
+from .partitions import (Partition, _check_cap, _checked_members, _join_masks, _trusted,
+                         _with_singletons)
 
 COMPLEMENT_CAP = 11
 CENSUS_CAP = 9
@@ -45,8 +46,8 @@ def naive_complements(p: Partition, universe: LatticeUniverse | None = None) -> 
     if universe is None:
         _check_cap(p.n, ORACLE_CAP, "complement oracle")
         universe = enumerate_partitions(p.n)
-    elif universe.n != p.n:
-        raise ValueError(f"ground-set mismatch: {universe.n} vs {p.n}")
+    else:
+        universe = _checked_members(universe, p.n)
     return [q for q in universe if is_complement(p, q)]
 
 

@@ -74,10 +74,12 @@ def _check_size(n: int) -> None:
 
 
 def _members_mask(members: Iterable[int], n: int) -> int:
-    """Mask of ``members``, after checking n and then each element's range."""
+    """Mask of ``members``, after checking n and then each element's type and range."""
     _check_size(n)
     mask = 0
     for e in members:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"element {e!r} is not an integer")
         if not 0 <= e < n:
             raise ValueError(f"element {e} outside ground set 0..{n - 1}")
         mask |= 1 << e
@@ -302,6 +304,19 @@ class Partition:
         if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
             raise ValueError("'blocks' must be a list of lists")
         return cls.from_blocks(n, blocks)
+
+
+def _checked_members(members: Iterable[object], n: int) -> list[Partition]:
+    """The members as a list, after refusing any that is not a Partition of
+    {0..n-1} with the errors of ``_check_ground``; a one-shot iterable is
+    read once."""
+    mem = list(members)
+    for p in mem:
+        if not isinstance(p, Partition):
+            raise TypeError(f"expected a Partition, got {type(p).__name__}")
+        if p.n != n:
+            raise ValueError(f"ground-set mismatch: {p.n} vs {n}")
+    return mem
 
 
 def _trusted(n: int, masks: Iterable[int]) -> Partition:

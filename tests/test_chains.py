@@ -196,6 +196,11 @@ def test_enumerate_cap():
         enumerate_maximal_chains(7)
 
 
+def test_verify_chain_refuses_a_first_member_that_is_no_partition():
+    with pytest.raises(TypeError, match="expected a Partition, got str"):
+        verify_chain(["0|1|2", bottom(3)])
+
+
 # --------------------------------------------------------------- subset lift
 
 def test_lift_subset_chain():

@@ -324,7 +324,7 @@ def _hasse_all_pairs(parts):
 def test_hasse_matches_all_pairs_scan(capsys, tmp_path):
     for n in range(6):
         parts = list(iter_partitions(n))
-        assert _hasse_dot(parts) == _hasse_all_pairs(parts)
+        assert "\n".join([*_hasse_dot(parts), ""]) == _hasse_all_pairs(parts)
     parts = keyframe_chain(3) + [Partition.parse("0 4|1 5|2 6|3 7", 8)]
     random.Random(0).shuffle(parts)
     chain_file = tmp_path / "chain.txt"
@@ -410,6 +410,19 @@ GOLDEN = [
      "6992617bb6f30d6fdb3189bc9363c06c4ab9eb3bba04373356a47dd7ff021da3"),
     (("hasse", "--chain", "@repeated.txt"),
      "4df39228a29c455e9f874b513560a6711d35f9fd3f8aedc43bdaaf45815d3b16"),
+    # recorded before main became the one writer of stdout and --output
+    (("enumerate", "--n", "10", "--counts"),
+     "6e7979d931c177e1c3f136df51674090be4d6748a5683fe1f0b78c21061c09b8"),
+    (("ortho", "witness", "--n", "12"),
+     "eb54b0af4c3190588834e9b2bc165e94982a0345d71ab28f8e585064e3da4112"),
+    (("cardinal", "eval", "pow(aleph(0), aleph(0))"),
+     "cf4451bb02bf5f4a37a27dc0a0989ac761dbd451a5152f308a0e35f5158f09a1"),
+    (("cardinal", "eval", "pow(aleph(0), aleph(0))", "--model", "@pinned.json"),
+     "12789b5c1640e426144b916b9230fc746c2aa7e2d4a37e101484459ea65bb7f6"),
+    (("hasse", "--antichain", "@antichain.txt"),
+     "f5d8795f04be72e6440b9eb2b2547f3ec254be3153ec7eb975116e934c0866dc"),
+    (("chains", "verify", "@maximal.txt"),
+     "b8142408624d0fcaba2b963abf70c9788ce004f8a0024fdb3bec173fa2eac784"),
 ]
 
 # files named by an "@name" argument above; a repeated line repeats its node
@@ -417,6 +430,9 @@ GOLDEN_FILES = {
     "repeated.txt": ("0|1|2|3|4|5|6|7\n0 1|2|3|4|5|6|7\n0 1|2 3|4|5|6|7\n"
                      "0 1|2 3|4|5|6|7\n0 1 2 3|4|5|6|7\n0 4|1 5|2 6|3 7\n"
                      "0 1 2 3|4 5 6 7\n0 1 2 3 4 5 6 7\n"),
+    "pinned.json": '{"continuum": {"1": "3"}}\n',  # prints interval[aleph(1), aleph(3)]
+    "antichain.txt": "0 1|2 3\n0 2|1 3\n0 3|1 2\n0|1 2 3\n0 2 3|1\n0 1 3|2\n0 1 2|3\n",
+    "maximal.txt": "0|1|2|3\n0|1|2 3\n0 1|2 3\n0 1 2 3\n",
 }
 
 
@@ -428,6 +444,50 @@ def test_golden_stdout(capsys, tmp_path, argv, digest):
     rc, out, err = run(capsys, *argv)
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_verify_report_on_a_swapped_chain_exit_1(capsys, tmp_path):
+    swapped = tmp_path / "swapped.txt"
+    swapped.write_text("0 1|2\n0|1|2\n")
+    rc, out, err = run(capsys, "chains", "verify", str(swapped))
+    assert rc == 1 and err == ""
+    assert out == "chain: no\nsaturated: no\nmaximal: no\nwitness: (0, 1)\n"
+
+
+# ------------------------------------------------------------ --output file
+
+OUTPUT_ARGV = [
+    ("enumerate", "--n", "4"),
+    ("enumerate", "--n", "4", "--counts"),
+    ("chains", "keyframe", "--k", "2"),
+    ("antichains", "doubleton", "--n", "4"),
+    ("antichains", "bipartition", "--n", "4", "--verify"),
+    ("complements", "census", "--n", "3"),
+    ("hasse", "--n", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGV, ids=[" ".join(a) for a in OUTPUT_ARGV])
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    rc, expected, _ = run(capsys, *argv)
+    assert rc == 0 and expected
+    target = tmp_path / "out.txt"
+    rc, out, err = run(capsys, *argv, "--output", str(target))
+    assert rc == 0 and out == "" and err == ""
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "--n", "13"), ("hasse", "--n", "8")],
+                         ids=["enumerate", "hasse"])
+def test_output_file_untouched_on_exit_2(capsys, tmp_path, argv):
+    target = tmp_path / "out.txt"
+    rc, out, err = run(capsys, *argv, "--output", str(target))
+    assert rc == 2 and out == "" and "cap" in err
+    assert not target.exists()
+    target.write_bytes(b"kept\n")
+    rc, out, _ = run(capsys, *argv, "--output", str(target))
+    assert rc == 2 and out == ""
+    assert target.read_bytes() == b"kept\n"
 
 
 

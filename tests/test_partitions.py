@@ -37,6 +37,7 @@ from pilat import (
     stirling2,
     top,
     verify_antichain,
+    verify_chain,
 )
 from pilat.cli import _cmd_hasse
 from pilat.partitions import _format_many
@@ -170,6 +171,42 @@ def test_diag_singular_partitions():
 def test_diag_preserves_subset_order():
     assert diag({1, 2}, 5) < diag({1, 2, 4}, 5)
     assert not diag({1, 2}, 5) <= diag({2, 3}, 5)
+
+
+MEMBER_SETS = {
+    "str": lambda: diag(["a"], 4),
+    "float": lambda: diag([0.5, 1], 4),
+    "bool": lambda: diag([True, 2], 4),  # from_blocks refuses True as element 1
+    "lift": lambda: lift_subset_chain([[0, "x"]], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBER_SETS))
+def test_member_sets_take_integers_only(name):
+    with pytest.raises(ValueError, match=r"element .* is not an integer"):
+        MEMBER_SETS[name]()
+
+
+# Each takes a list of members and the ground size they must share.
+MEMBER_LISTS = {
+    "verify_chain": lambda mem, n: verify_chain([bottom(n), *mem]),
+    "verify_antichain": lambda mem, n: verify_antichain([bottom(n), *mem], n),
+    "naive_complements": lambda mem, n: naive_complements(bottom(n), [bottom(n), *mem]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBER_LISTS))
+def test_member_lists_take_partitions_of_one_ground(name):
+    for bad in ("x", None, 3):
+        with pytest.raises(TypeError, match=f"expected a Partition, got {type(bad).__name__}"):
+            MEMBER_LISTS[name]([bad], 3)
+    with pytest.raises(ValueError, match="ground-set mismatch: 4 vs 3"):
+        MEMBER_LISTS[name]([bottom(4)], 3)
+
+
+def test_naive_complements_reads_a_one_shot_universe_once():
+    p = Partition.parse("0 1|2 3", 4)
+    assert naive_complements(p, iter(enumerate_partitions(4))) == naive_complements(p)
 
 
 # ------------------------------------------------------------------- ordering
