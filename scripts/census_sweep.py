@@ -3,7 +3,9 @@
 
 For each n the script reports how many partitions hit the product-formula
 count exactly at the maximal block number, the largest complement total,
-and wall-clock timing, so growth stays visible as n increases.
+and wall-clock timing, so growth stays visible as n increases.  A
+``--max-n`` above the census cap (``PILAT_MAX_N`` replaces it) or a
+``--jobs`` below 1 prints ``error: ...`` and exits 2 before the first row.
 
 Usage: python scripts/census_sweep.py [--max-n 7] [--jobs 2]
 """
@@ -12,9 +14,18 @@ import sys
 import time
 
 from pilat import complement_census
+from pilat.complements import CENSUS_CAP
+from pilat.partitions import _check_cap
 
 
 def run(max_n: int = 7, jobs: int = 1) -> int:
+    try:
+        _check_cap(max_n, CENSUS_CAP, "census")
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'n':>2} {'partitions':>10} {'complements':>11} {'max-total':>9} "
           f"{'formula-ok':>10} {'seconds':>8}")
     for n in range(1, max_n + 1):

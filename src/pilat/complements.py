@@ -6,11 +6,18 @@ of P (meet condition), and the union of both block structures connects the
 whole ground set (join condition).
 
 The module provides a naive filtering oracle, a pruned backtracking
-enumerator that must agree with it (one iterative depth-first walk over the
-restricted growth strings of Q, see ``enumerate_complements``), the classic
-product formula for the number of complements with exactly n - m + 1
-blocks, and two explicit constructions that each produce families of
-pairwise distinct complements.
+enumerator that must agree with it, the classic product formula for the
+number of complements with exactly n - m + 1 blocks, a census that checks
+that formula over all of Pi_n, and two explicit constructions that each
+produce families of pairwise distinct complements.
+
+The enumerator and the census share one iterative depth-first walk over the
+restricted growth strings of Q, ``_frontier``.  It stops at the last
+element and yields the open blocks of Q with the index list of the blocks
+that element may join (the open-block count meaning a new block), one index
+per complement.  ``enumerate_complements`` builds one partition per index;
+the census only adds up the lists and builds none.  The yielded block list
+is live, so a consumer copies it before the walk's next step.
 """
 from __future__ import annotations
 
@@ -51,8 +58,8 @@ def naive_complements(p: Partition, universe: LatticeUniverse | None = None) -> 
     return [q for q in universe if is_complement(p, q)]
 
 
-def enumerate_complements(p: Partition) -> list[Partition]:
-    """All complements of p, by pruned backtracking, in RGS order.
+def _frontier(p: Partition) -> Iterator[tuple[list[int], list[int]]]:
+    """The live nodes of the complement walk at the last element, in RGS order.
 
     One iterative depth-first walk visits the restricted growth strings of
     the candidate Q in lexicographic order (Knuth, TAOCP 4A, 7.2.1.5),
@@ -62,10 +69,22 @@ def enumerate_complements(p: Partition) -> list[Partition]:
     fuses at most two pieces, the root it absorbs is kept per depth and
     undone on the way back, and a branch dies as soon as the remaining
     placements cannot reach one piece.
+
+    The walk stops one level short of the leaves.  When elements 0..n-2 are
+    placed and a complement can still be reached, it yields ``(qmask,
+    idx)``: ``qmask`` holds the elements of each open block of Q, and
+    ``idx`` lists, in ascending order, the blocks the last element n - 1
+    may join to finish a complement, where ``len(qmask)`` means a new
+    block.  Each index is one complement, so ``idx`` is never empty.  The
+    ``qmask`` list is live: the walk changes it in place when the consumer
+    asks for the next node, so a consumer that keeps it copies it first.
+    Needs n >= 1.
     """
     n = p.n
-    _check_cap(n, COMPLEMENT_CAP, "complement enumeration")
+    last = n - 1
     pblock = p.labels
+    lastblock = pblock[last]
+    lastbit = 1 << lastblock
     parent = list(range(p.block_count))  # union-find over p's blocks
     pieces = p.block_count    # its roots: the pieces Q's prefix has not yet joined
     absorbed = [-1] * n       # absorbed[e]: the root that placing e joined to another, or -1
@@ -73,48 +92,67 @@ def enumerate_complements(p: Partition) -> list[Partition]:
     qmask: list[int] = []     # elements of each open block of Q
     qused: list[int] = []     # bitmask of p-block indices present in it
     qanchor: list[int] = []   # p-block of the block's first element
-    out: list[Partition] = []
+    k = 0                     # len(qmask): the open blocks
     e, j = 0, 0               # place element e into block j next
     while True:
-        if pieces - 1 > n - e:
-            pass  # the remaining placements cannot connect the pieces
-        elif e == n:
-            out.append(_trusted(n, qmask))  # here pieces == 1
-        elif j < len(qmask) and qused[j] >> pblock[e] & 1:
-            j += 1
-            continue
-        elif j <= len(qmask):
+        if e == last:
+            # the last element must leave one piece: with one piece left any
+            # block without its p-block will do, and so will a new block;
+            # with two, only a block of the other piece
+            if pieces == 1:
+                idx = [i for i in range(k) if not qused[i] & lastbit]
+                idx.append(k)
+                yield qmask, idx
+            elif pieces == 2:
+                r = lastblock
+                while parent[r] != r:
+                    r = parent[r]
+                idx = []
+                for i in range(k):
+                    a = qanchor[i]
+                    while parent[a] != a:
+                        a = parent[a]
+                    if a != r:
+                        idx.append(i)
+                yield qmask, idx
+        elif pieces - 1 <= n - e:  # else the remaining placements cannot connect the pieces
             pb = pblock[e]
-            absorbed[e] = -1
-            if j == len(qmask):
-                qmask.append(1 << e)
-                qused.append(1 << pb)
-                qanchor.append(pb)
-            else:
-                qmask[j] |= 1 << e
-                qused[j] |= 1 << pb
-                a = qanchor[j]
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[pb] != pb:
-                    pb = parent[pb]
-                if pb != a:
-                    parent[pb] = a
-                    absorbed[e] = pb
-                    pieces -= 1
-            label[e] = j
-            e += 1
-            j = 0
-            continue
+            bit = 1 << pb
+            while j < k and qused[j] & bit:
+                j += 1
+            if j <= k:
+                absorbed[e] = -1
+                if j == k:
+                    qmask.append(1 << e)
+                    qused.append(bit)
+                    qanchor.append(pb)
+                    k += 1
+                else:
+                    qmask[j] |= 1 << e
+                    qused[j] |= bit
+                    a = qanchor[j]
+                    while parent[a] != a:
+                        a = parent[a]
+                    while parent[pb] != pb:
+                        pb = parent[pb]
+                    if pb != a:
+                        parent[pb] = a
+                        absorbed[e] = pb
+                        pieces -= 1
+                label[e] = j
+                e += 1
+                j = 0
+                continue
         # every block for element e is done: back up to element e - 1
         e -= 1
         if e < 0:
-            return out
+            return
         j = label[e]
         if qmask[j] == 1 << e:  # e opened block j, the last one
             qmask.pop()
             qused.pop()
             qanchor.pop()
+            k -= 1
         else:
             qmask[j] ^= 1 << e
             qused[j] ^= 1 << pblock[e]
@@ -123,6 +161,30 @@ def enumerate_complements(p: Partition) -> list[Partition]:
                 parent[root] = root
                 pieces += 1
         j += 1
+
+
+def enumerate_complements(p: Partition) -> list[Partition]:
+    """All complements of p, by pruned backtracking, in RGS order.
+
+    Each node that ``_frontier`` yields becomes one complement per index:
+    the last element joins that open block, or opens a new one.
+    """
+    n = p.n
+    _check_cap(n, COMPLEMENT_CAP, "complement enumeration")
+    if n == 0:
+        return [_trusted(0, ())]
+    bit = 1 << (n - 1)
+    out: list[Partition] = []
+    for qmask, idx in _frontier(p):
+        k = len(qmask)
+        for j in idx:
+            if j == k:
+                out.append(_trusted(n, [*qmask, bit]))
+            else:
+                masks = qmask.copy()
+                masks[j] |= bit
+                out.append(_trusted(n, masks))
+    return out
 
 
 def grieser_count(p: Partition) -> int:
@@ -265,14 +327,28 @@ class CensusRow:
 
 
 def _census_row(p: Partition) -> CensusRow:
-    comps = enumerate_complements(p)
+    """The census row of p, counted from the walk's nodes: no complement is built.
+
+    A node with k open blocks finishes a complement with k blocks per index
+    below k, and one with k + 1 blocks if k is listed.  No complement has
+    more than n - m + 1 blocks (joining p's m blocks takes at least m - 1
+    merges), so when k is the target every index counts.
+    """
     target = p.n - p.block_count + 1
+    total = count_nm1 = 0
+    for qmask, idx in _frontier(p):
+        total += len(idx)
+        k = len(qmask)
+        if k == target:
+            count_nm1 += len(idx)
+        elif k + 1 == target and idx[-1] == k:
+            count_nm1 += 1
     return CensusRow(
         partition=p.format(),
         m=p.block_count,
         block_sizes=p.block_sizes,
-        total=len(comps),
-        count_nm1=sum(1 for q in comps if q.block_count == target),
+        total=total,
+        count_nm1=count_nm1,
         grieser=grieser_count(p),
     )
 

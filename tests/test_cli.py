@@ -423,6 +423,9 @@ GOLDEN = [
      "f5d8795f04be72e6440b9eb2b2547f3ec254be3153ec7eb975116e934c0866dc"),
     (("chains", "verify", "@maximal.txt"),
      "b8142408624d0fcaba2b963abf70c9788ce004f8a0024fdb3bec173fa2eac784"),
+    # recorded before the census counted complements without building them
+    (("complements", "census", "--n", "7"),
+     "53de7a42e7811d00a30d5bca55dd21de42a83063db1ca1e8ea79d1a70a7f8afb"),
 ]
 
 # files named by an "@name" argument above; a repeated line repeats its node

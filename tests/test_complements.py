@@ -26,6 +26,7 @@ from pilat import (
     split_transversal_family,
     top,
 )
+from pilat.complements import _frontier
 from strats import partitions
 
 
@@ -115,6 +116,35 @@ def test_complement_walk_is_not_recursive(monkeypatch):
     n = 1100
     assert enumerate_complements(top(n)) == [bottom(n)]
     assert enumerate_complements(bottom(n)) == [top(n)]
+
+
+def _frontier_nodes(p):
+    # the walk's qmask list is live, so each node is copied as it arrives
+    return [(list(qmask), list(idx)) for qmask, idx in _frontier(p)]
+
+
+def test_frontier_nodes_of_two_pairs():
+    # after 0 2|1, element 3 joins {1} or opens a block: six complements in RGS order
+    assert _frontier_nodes(P("0 1|2 3", 4)) == [
+        ([0b0101, 0b0010], [1, 2]),
+        ([0b0001, 0b0110], [0, 2]),
+        ([0b0001, 0b0010, 0b0100], [0, 1]),
+    ]
+
+
+@pytest.mark.parametrize("p,nodes,indices", [
+    (P("0 1|2 3", 4), 3, 6),
+    (P("0 1 2|3 4|5", 6), 12, 42),
+    (bottom(6), 1, 1),
+    (top(6), 1, 1),
+])
+def test_frontier_counts_are_pinned(p, nodes, indices):
+    # a prefix that completes no complement yields no node, so an empty
+    # index list, or more nodes, means the last-element test has weakened
+    got = _frontier_nodes(p)
+    assert len(got) == nodes
+    assert sum(len(idx) for _, idx in got) == indices == len(enumerate_complements(p))
+    assert all(idx and idx == sorted(set(idx)) for _, idx in got)
 
 
 def test_enumeration_cap():
@@ -285,6 +315,14 @@ def test_census_totals_match_oracle():
             row = rows[p.format()]
             assert (row.total, row.count_nm1) == (
                 len(comps), sum(q.block_count == target for q in comps))
+
+
+def test_census_matches_product_formula():
+    # the product formula is the oracle of count_nm1 on every row
+    for n in range(1, 8):
+        rows = complement_census(n)
+        assert len(rows) == len(enumerate_partitions(n).partitions)
+        assert all(row.count_nm1 == row.grieser for row in rows)
 
 
 def test_census_parallel_matches_serial():

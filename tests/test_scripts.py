@@ -22,3 +22,19 @@ def _load(name):
 def test_script_runs(capsys, name, kwargs):
     assert _load(name).run(**kwargs) == 0
     assert "MISMATCH" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("env,kwargs,message", [
+    ("3", {"max_n": 4}, "census cap 3: n=4 outside 0..3"),
+    (None, {"max_n": 10}, "census cap 9: n=10 outside 0..9"),
+    (None, {"max_n": 4, "jobs": 0}, "jobs must be at least 1, got 0"),
+])
+def test_census_sweep_refuses_before_the_first_row(capsys, monkeypatch, env, kwargs, message):
+    if env is None:
+        monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("PILAT_MAX_N", env)
+    assert _load("census_sweep").run(**kwargs) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
