@@ -4,10 +4,10 @@
 For each n the script reports how many partitions hit the product-formula
 count exactly at the maximal block number, the largest complement total,
 and wall-clock timing, so growth stays visible as n increases.  A
-``--max-n`` above the census cap (``PILAT_MAX_N`` replaces it) or a
-``--jobs`` below 1 prints ``error: ...`` and exits 2 before the first row.
+``--max-n`` above the census cap (``PILAT_MAX_N`` replaces it) prints
+``error: ...`` and exits 2 before the first row.
 
-Usage: python scripts/census_sweep.py [--max-n 7] [--jobs 2]
+Usage: python scripts/census_sweep.py [--max-n 7]
 """
 import argparse
 import sys
@@ -18,11 +18,9 @@ from pilat.complements import CENSUS_CAP
 from pilat.partitions import _check_cap
 
 
-def run(max_n: int = 7, jobs: int = 1) -> int:
+def run(max_n: int = 7) -> int:
     try:
         _check_cap(max_n, CENSUS_CAP, "census")
-        if jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {jobs}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -30,7 +28,7 @@ def run(max_n: int = 7, jobs: int = 1) -> int:
           f"{'formula-ok':>10} {'seconds':>8}")
     for n in range(1, max_n + 1):
         start = time.perf_counter()
-        rows = complement_census(n, jobs=jobs)
+        rows = complement_census(n)
         elapsed = time.perf_counter() - start
         total = sum(r.total for r in rows)
         biggest = max(r.total for r in rows)
@@ -46,9 +44,8 @@ def run(max_n: int = 7, jobs: int = 1) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
-    return run(args.max_n, args.jobs)
+    return run(args.max_n)
 
 
 if __name__ == "__main__":

@@ -88,7 +88,7 @@ def _cmd_antichains(args) -> tuple[int, list[str]]:
 
 
 def _cmd_complements(args) -> tuple[int, list[str]]:
-    rows = co.complement_census(args.n, jobs=args.jobs)
+    rows = co.complement_census(args.n)
     # no field holds a comma, quote or newline, so no CSV quoting is needed
     lines = [CENSUS_VERSION, "partition,m,block_sizes,total,count_nm1,grieser"]
     for row in rows:
@@ -189,7 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     comp_sub = p.add_subparsers(dest="complements_cmd", required=True)
     cs = comp_sub.add_parser("census", help="CSV census over all of Pi_n")
     cs.add_argument("--n", type=int, required=True)
-    cs.add_argument("--jobs", type=int, default=1)
     cs.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_complements)
 

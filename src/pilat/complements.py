@@ -22,7 +22,6 @@ is live, so a consumer copies it before the walk's next step.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Mapping
@@ -353,28 +352,17 @@ def _census_row(p: Partition) -> CensusRow:
     )
 
 
-def complement_census(n: int, jobs: int = 1) -> list[CensusRow]:
+def complement_census(n: int) -> list[CensusRow]:
     """One row per partition of Pi_n, in RGS order.
 
     Bottom and top rows are kept (each has the single complement top resp.
     bottom).  n = 0 is rejected: the empty partition is its own complement
     but has no block to count, so the n - m + 1 column is meaningless.
-    ``jobs`` worker processes share the rows; it must be at least 1 and is
-    lowered to the CPU count.
     """
     _check_cap(n, CENSUS_CAP, "census")
     if n == 0:
         raise ValueError("census needs n >= 1")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
-    parts = iter_partitions(n)
-    if jobs == 1:
-        return [_census_row(p) for p in parts]
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as pool:
-        return list(pool.imap(_census_row, parts, chunksize=16))
+    return [_census_row(p) for p in iter_partitions(n)]
 
 
 def relative_complement_in(b: Partition, a: Partition, c: Partition,

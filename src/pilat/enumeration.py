@@ -17,8 +17,12 @@ COUNT_CAP = 26  # bell(26) still fits in 64 bits
 
 
 def iter_partitions(n: int) -> Iterator[Partition]:
-    """Yield all partitions of {0..n-1} in lexicographic RGS order."""
+    """Stream all partitions of {0..n-1} in lexicographic RGS order."""
     _check_cap(n, ENUM_CAP, "enumeration")
+    return _rgs_partitions(n)  # not a generator itself: the cap is checked at call time
+
+
+def _rgs_partitions(n: int) -> Iterator[Partition]:
     if n == 0:
         yield _trusted(0, ())
         return

@@ -146,22 +146,19 @@ def test_census_csv(capsys):
     assert out == CENSUS3
 
 
-def test_census_deterministic_and_parallel(capsys):
+def test_census_deterministic(capsys):
     rc, first, _ = run(capsys, "complements", "census", "--n", "4")
     assert rc == 0
     rc, second, _ = run(capsys, "complements", "census", "--n", "4")
-    assert first == second
-    rc, parallel, _ = run(capsys, "complements", "census", "--n", "4",
-                          "--jobs", "2")
     assert rc == 0
-    assert parallel == first
+    assert first == second
 
 
-def test_census_rejects_jobs_below_one(capsys):
-    for jobs in ("0", "-5"):
-        rc, out, err = run(capsys, "complements", "census", "--n", "3", "--jobs", jobs)
-        assert rc == 2 and out == ""
-        assert "jobs" in err
+def test_census_has_no_jobs_option(capsys):
+    # the census is one serial walk: an old --jobs invocation is refused, not ignored
+    rc, out, err = run(capsys, "complements", "census", "--n", "3", "--jobs", "2")
+    assert rc == 2 and out == ""
+    assert "--jobs" in err
 
 
 def test_census_rejects_n0(capsys):
@@ -533,3 +530,51 @@ def test_parser_is_built_once_on_the_first_call():
     assert rc2 == 2 and out2 == "" and "unrecognized arguments: --bogus" in err2
     assert (rc3, out3, err3) == (rc1, out1, err1)
     assert built1 > 1 and built1 == built2 == built3  # the whole tree, once
+
+
+# ------------------------------------------------------- stdlib-only runtime
+
+# Runs in a fresh isolated interpreter.  Modules loaded before pilat (site
+# .pth files may preload third-party ones) are left out: only the modules
+# that importing pilat.cli and serving the requests load are reported.
+RUNTIME_PROBE = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import contextlib, io, json
+import pilat.cli
+codes = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        codes.append([pilat.cli.main(argv), bool(out.getvalue())])
+print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_runtime_loads_only_the_standard_library(tmp_path):
+    chain = tmp_path / "chain.txt"
+    chain.write_text("0|1|2\n0 1|2\n0 1 2\n", encoding="utf-8")
+    requests = [
+        ["enumerate", "--n", "3"],
+        ["chains", "keyframe", "--k", "2"],
+        ["chains", "verify", str(chain)],
+        ["antichains", "doubleton", "--n", "4", "--verify"],
+        ["complements", "census", "--n", "3"],
+        ["ortho", "search", "--n", "4"],
+        ["ortho", "witness", "--n", "5"],
+        ["cardinal", "eval", "pow(aleph(0), aleph(0))"],
+        ["hasse", "--chain", str(chain)],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", RUNTIME_PROBE, src, json.dumps(requests)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [[0, True]] * len(requests)  # each answered on stdout
+    loaded = report["loaded"]
+    assert "pilat.cli" in loaded
+    foreign = [m for m in loaded if m.partition(".")[0] not in sys.stdlib_module_names
+               and m.partition(".")[0] != "pilat"]
+    assert foreign == []
+    assert not [m for m in loaded if m.partition(".")[0] == "multiprocessing"]

@@ -2,8 +2,9 @@
 
 Whatever the arguments and input files, ``main`` returns 0, 1 or 2, lets no
 exception escape, and writes nothing to stdout when it returns 2.  Sizes are
-drawn from sets that either finish quickly or are refused at a cap, and
-``--jobs`` is never above 1, so no example starts a worker process.
+drawn from sets that either finish quickly or are refused at a cap.  Some
+census samples pass ``--jobs``, which the census does not take, so they
+check the parser's exit 2.
 """
 import contextlib
 import io

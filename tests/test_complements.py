@@ -325,49 +325,6 @@ def test_census_matches_product_formula():
         assert all(row.count_nm1 == row.grieser for row in rows)
 
 
-def test_census_parallel_matches_serial():
-    assert complement_census(4, jobs=2) == complement_census(4, jobs=1)
-
-
-def test_census_rejects_jobs_below_one():
-    for jobs in (0, -5):
-        with pytest.raises(ValueError, match="jobs"):
-            complement_census(3, jobs=jobs)
-
-
-def test_census_clamps_jobs_to_cpu_count(monkeypatch):
-    import multiprocessing
-    import os
-
-    started = []
-
-    class InlinePool:
-        """Stands in for multiprocessing.Pool: records the size, starts nothing."""
-
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    serial = complement_census(4, jobs=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert complement_census(4, jobs=64) == serial
-    assert started == [2]
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert complement_census(4, jobs=64) == serial
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert complement_census(4, jobs=8) == serial
-    assert started == [2]  # one CPU, or an unknown count, runs in process
-
-
 def test_census_rejects_bad_n():
     with pytest.raises(ValueError):
         complement_census(0)

@@ -67,6 +67,23 @@ def test_enumeration_cap():
         list(iter_partitions(13))
 
 
+def test_iter_partitions_refuses_at_call_time(monkeypatch):
+    # the refusal comes from the call itself, before any next()
+    monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    for n in (13, -1):
+        with pytest.raises(ValueError, match=rf"enumeration cap 12: n={n} outside 0\.\.12"):
+            iter_partitions(n)
+
+
+def test_iter_partitions_honours_env_cap(monkeypatch):
+    monkeypatch.setenv("PILAT_MAX_N", "3")
+    with pytest.raises(ValueError, match=r"enumeration cap 3: n=4 outside 0\.\.3"):
+        iter_partitions(4)
+    assert len(list(iter_partitions(3))) == 5
+    monkeypatch.setenv("PILAT_MAX_N", "13")
+    assert next(iter_partitions(13)) == top(13)
+
+
 def test_universe_index():
     universe = enumerate_partitions(3)
     assert isinstance(universe, LatticeUniverse)

@@ -27,7 +27,6 @@ def test_script_runs(capsys, name, kwargs):
 @pytest.mark.parametrize("env,kwargs,message", [
     ("3", {"max_n": 4}, "census cap 3: n=4 outside 0..3"),
     (None, {"max_n": 10}, "census cap 9: n=10 outside 0..9"),
-    (None, {"max_n": 4, "jobs": 0}, "jobs must be at least 1, got 0"),
 ])
 def test_census_sweep_refuses_before_the_first_row(capsys, monkeypatch, env, kwargs, message):
     if env is None:
@@ -38,3 +37,13 @@ def test_census_sweep_refuses_before_the_first_row(capsys, monkeypatch, env, kwa
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_census_sweep_has_no_jobs_option(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["census_sweep.py", "--jobs", "2"])
+    with pytest.raises(SystemExit) as exc:
+        _load("census_sweep").main()
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--jobs" in err
