@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Print a gallery of chains: keyframe chains for several k, the
 deterministic saturation of a sparse chain, and maximal-chain counts.
+A ``--max-k`` below 1 or with 2^k above the ground cap, or a ``--count-n``
+above the maximal-chain cap (``PILAT_MAX_N`` replaces both caps), prints
+``error: ...`` and exits 2 before the first line.
 
 Usage: python scripts/chain_gallery.py [--max-k 3] [--count-n 5]
 """
@@ -9,6 +12,7 @@ import math
 import sys
 
 from pilat import (
+    KeyframePlan,
     bottom,
     enumerate_maximal_chains,
     extend_to_maximal,
@@ -27,6 +31,14 @@ def show_chain(label: str, chain) -> None:
 
 
 def run(max_k: int = 3, count_n: int = 5) -> int:
+    try:
+        if max_k < 1:
+            raise ValueError(f"--max-k must be at least 1, got {max_k}")
+        KeyframePlan(max_k)  # 2^max_k elements within the ground cap
+        enumerate_maximal_chains(count_n)  # refuses at call time above the maximal-chain cap
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for k in range(1, max_k + 1):
         show_chain(f"keyframe chain k={k}", keyframe_chain(k))
         print()

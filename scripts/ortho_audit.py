@@ -4,7 +4,9 @@
 Small lattices get the exhaustive search; larger ones the counting
 certificate (covers of bottom vs cocovers of top).  The symbolic layer
 then reports the complement counts an infinite ground set would have,
-under GCH and under a pinned-continuum model.
+under GCH and under a pinned-continuum model.  A ``--max-n`` above the
+ground cap (``PILAT_MAX_N`` replaces it) prints ``error: ...`` and exits 2
+before the first row.
 
 Usage: python scripts/ortho_audit.py [--max-n 12]
 """
@@ -24,10 +26,15 @@ from pilat import (
     search_orthocomplementation,
 )
 from pilat.ortho import SEARCH_CAP
-from pilat.partitions import effective_cap
+from pilat.partitions import _check_size, effective_cap
 
 
 def run(max_n: int = 12) -> int:
+    try:
+        _check_size(max_n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     search_limit = effective_cap(SEARCH_CAP)
     for n in range(1, max_n + 1):
         if n <= search_limit:

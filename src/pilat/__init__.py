@@ -24,8 +24,7 @@ from .complements import (CensusRow, complement_census, enumerate_complements,
                           injection_complement_family, is_complement,
                           naive_complements, relative_complement_in,
                           split_transversal_complement, split_transversal_family)
-from .enumeration import (LatticeUniverse, atoms, bell, coatoms,
-                          enumerate_partitions, iter_partitions, stirling2)
+from .enumeration import atoms, bell, coatoms, iter_partitions, stirling2
 from .ortho import (NonOrthoWitness, OrthoReport, brute_search_orthocomplementation,
                     check_ortho_map, non_ortho_witness, search_orthocomplementation)
 from .partitions import (Partition, bottom, comparable, covers, diag, ground_cap,

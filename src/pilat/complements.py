@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Mapping
 
-from .enumeration import LatticeUniverse, enumerate_partitions, iter_partitions
-from .partitions import (Partition, _check_cap, _checked_members, _join_masks, _trusted,
-                         _with_singletons)
+from .enumeration import iter_partitions
+from .partitions import Partition, _check_cap, _join_masks, _trusted, _with_singletons
 
 COMPLEMENT_CAP = 11
 CENSUS_CAP = 9
@@ -47,14 +46,10 @@ def is_complement(p: Partition, q: Partition) -> bool:
     return len(_join_masks(p.n, p.masks + q.masks)) <= 1
 
 
-def naive_complements(p: Partition, universe: LatticeUniverse | None = None) -> list[Partition]:
+def naive_complements(p: Partition) -> list[Partition]:
     """Oracle: filter the whole lattice.  Only sensible for small n."""
-    if universe is None:
-        _check_cap(p.n, ORACLE_CAP, "complement oracle")
-        universe = enumerate_partitions(p.n)
-    else:
-        universe = _checked_members(universe, p.n)
-    return [q for q in universe if is_complement(p, q)]
+    _check_cap(p.n, ORACLE_CAP, "complement oracle")
+    return [q for q in iter_partitions(p.n) if is_complement(p, q)]
 
 
 def _frontier(p: Partition) -> Iterator[tuple[list[int], list[int]]]:
@@ -262,6 +257,10 @@ def split_transversal_complement(p: Partition, *,
 def split_transversal_family(p: Partition) -> Iterator[Partition]:
     """The 2^(m-1) complements from all part_one subsets, default choices."""
     pivot = _pick_pivot(p)
+    return _split_transversals(p, pivot)  # not a generator itself: the pivot is found at call time
+
+
+def _split_transversals(p: Partition, pivot: int) -> Iterator[Partition]:
     others = tuple(b for b in range(p.block_count) if b != pivot)
     for r in range(len(others) + 1):
         for subset in itertools.combinations(others, r):
@@ -306,6 +305,10 @@ def injection_complement_family(p: Partition, big_block: int) -> Iterator[Partit
     """
     if not 0 <= big_block < p.block_count:
         raise ValueError("block index out of range")
+    return _injections(p, big_block)  # not a generator itself: the block is checked at call time
+
+
+def _injections(p: Partition, big_block: int) -> Iterator[Partition]:
     inside = p.blocks[big_block]
     inside_set = set(inside)
     outside = [e for e in range(p.n) if e not in inside_set]
@@ -365,8 +368,7 @@ def complement_census(n: int) -> list[CensusRow]:
     return [_census_row(p) for p in iter_partitions(n)]
 
 
-def relative_complement_in(b: Partition, a: Partition, c: Partition,
-                           universe: LatticeUniverse | None = None) -> Partition | None:
+def relative_complement_in(b: Partition, a: Partition, c: Partition) -> Partition | None:
     """Some z with a <= z <= c, b & z == a and b | z == c, if one exists.
 
     Brute force over the interval [a, c]; partition lattices are
@@ -374,10 +376,8 @@ def relative_complement_in(b: Partition, a: Partition, c: Partition,
     """
     if not (a <= b and b <= c):
         raise ValueError("need a <= b <= c")
-    if universe is None:
-        _check_cap(b.n, ORACLE_CAP, "complement oracle")
-        universe = enumerate_partitions(b.n)
-    for z in universe:
+    _check_cap(b.n, ORACLE_CAP, "complement oracle")
+    for z in iter_partitions(b.n):
         if a <= z and z <= c and (b & z) == a and (b | z) == c:
             return z
     return None

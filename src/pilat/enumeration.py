@@ -47,34 +47,6 @@ def _rgs_partitions(n: int) -> Iterator[Partition]:
             bound[i] = nxt
 
 
-class LatticeUniverse:
-    """All of Pi_n materialized, with O(1) membership and index lookup."""
-
-    def __init__(self, n: int, partitions: tuple[Partition, ...]):
-        self.n = n
-        self.partitions = partitions
-        self._index = {p: i for i, p in enumerate(partitions)}
-
-    def __len__(self) -> int:
-        return len(self.partitions)
-
-    def __iter__(self) -> Iterator[Partition]:
-        return iter(self.partitions)
-
-    def __getitem__(self, i: int) -> Partition:
-        return self.partitions[i]
-
-    def __contains__(self, p: object) -> bool:
-        return p in self._index
-
-    def index_of(self, p: Partition) -> int:
-        return self._index[p]
-
-
-def enumerate_partitions(n: int) -> LatticeUniverse:
-    return LatticeUniverse(n, tuple(iter_partitions(n)))
-
-
 def _stirling_row(n: int) -> list[int]:
     """[S(n, 0), ..., S(n, n)], built row by row by S(i, k) = k S(i-1, k) + S(i-1, k-1)."""
     _check_cap(n, COUNT_CAP, "counting")

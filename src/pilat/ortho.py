@@ -21,7 +21,7 @@ from math import comb
 from typing import Mapping
 
 from .complements import enumerate_complements
-from .enumeration import _atom_coatom_counts, enumerate_partitions
+from .enumeration import _atom_coatom_counts, iter_partitions
 from .partitions import Partition, _check_cap, _check_size
 
 CHECK_CAP = 6
@@ -43,47 +43,45 @@ def check_ortho_map(mapping: Mapping[Partition, Partition], n: int) -> OrthoRepo
     (axiom iii) in enumeration order.
     """
     _check_cap(n, CHECK_CAP, "orthocomplement check")
-    universe = enumerate_partitions(n)
-    for a in universe:
+    parts = tuple(iter_partitions(n))
+    for a in parts:
         if a not in mapping:
             raise ValueError(f"map is not total: no image for {a}")
-    bot = universe[len(universe) - 1] if n else universe[0]
-    top_ = universe[0]
-    for a in universe:
+    top_, bot = parts[0], parts[-1]
+    for a in parts:
         if (a & mapping[a]) != bot:
             return OrthoReport(False, "i", a)
-    for a in universe:
+    for a in parts:
         if (a | mapping[a]) != top_:
             return OrthoReport(False, "ii", a)
-    for a in universe:
+    for a in parts:
         fa = mapping[a]
-        for b in universe:
+        for b in parts:
             if mapping[a & b] != (fa | mapping[b]):
                 return OrthoReport(False, "iii", (a, b))
-    for a in universe:
+    for a in parts:
         if mapping[mapping[a]] != a:
             return OrthoReport(False, "iv", a)
     return OrthoReport(True)
 
 
-def _cover_counts(universe) -> tuple[list[int], list[int]]:
+def _cover_counts(parts: tuple[Partition, ...]) -> tuple[list[int], list[int]]:
     """For each index: how many elements it covers / is covered by.
 
     Splitting a block of size s in two gives 2^(s-1) - 1 lower covers;
     merging two of k blocks gives C(k, 2) upper covers.
     """
-    parts = universe.partitions
     below = [sum((1 << (m.bit_count() - 1)) - 1 for m in p.masks) for p in parts]
     above = [comb(p.block_count, 2) for p in parts]
     return below, above
 
 
 def _search(n: int, pruned: bool) -> dict[Partition, Partition] | None:
-    universe = enumerate_partitions(n)
-    parts = universe.partitions
+    parts = tuple(iter_partitions(n))
     size = len(parts)
-    compl = [[universe.index_of(q) for q in enumerate_complements(p)] for p in parts]
-    below, above = _cover_counts(universe)
+    index = {p: i for i, p in enumerate(parts)}
+    compl = [[index[q] for q in enumerate_complements(p)] for p in parts]
+    below, above = _cover_counts(parts)
     le = [[parts[i] <= parts[j] for j in range(size)] for i in range(size)]
     # assign high-rank elements first: their candidate lists are shortest
     order = sorted(range(size), key=lambda i: (parts[i].block_count, i))

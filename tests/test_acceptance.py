@@ -24,12 +24,12 @@ from pilat import (
     doubleton_antichain,
     enumerate_complements,
     enumerate_maximal_chains,
-    enumerate_partitions,
     extend_to_maximal,
     fin,
     grieser_count,
     injection_complement_family,
     is_complement,
+    iter_partitions,
     join,
     keyframe_chain,
     KeyframePlan,
@@ -64,11 +64,10 @@ def complement_scan():
     scan, and the count of complements at the maximum block number."""
     table = {}
     for n in range(2, 8):
-        universe = enumerate_partitions(n)
         rows = []
-        for p in universe.partitions:
+        for p in iter_partitions(n):
             fast = enumerate_complements(p)
-            slow = naive_complements(p, universe)
+            slow = naive_complements(p)
             target = p.n - p.block_count + 1
             at_target = sum(1 for q in fast if q.block_count == target)
             rows.append((p, len(fast), at_target, fast == slow))
@@ -94,10 +93,10 @@ def test_c02_atom_and_coatom_counts():
             assert len(atoms(n)) == math.comb(n, 2)
             assert len(coatoms(n)) == 2 ** (n - 1) - 1
         for n in range(2, 8):
-            universe = enumerate_partitions(n).partitions
-            assert set(atoms(n)) == {p for p in universe
+            parts = tuple(iter_partitions(n))
+            assert set(atoms(n)) == {p for p in parts
                                      if covers(bottom(n), p)}
-            assert set(coatoms(n)) == {p for p in universe
+            assert set(coatoms(n)) == {p for p in parts
                                        if covers(p, top(n))}
 
 
@@ -156,7 +155,7 @@ def test_c06_construction_families():
                    "injection families are distinct verified complements "
                    "for every eligible partition, n <= 6"):
         for n in range(1, 7):
-            for p in enumerate_partitions(n).partitions:
+            for p in iter_partitions(n):
                 if any(len(b) >= 2 for b in p.blocks):
                     family = list(split_transversal_family(p))
                     assert len(family) == 2 ** (p.block_count - 1)
@@ -221,19 +220,18 @@ def test_c08_lattice_laws_and_relative_complements():
                 semimodular_hits += 1
                 assert covers(q, join(p, q))
         assert semimodular_hits >= 1000
-        universe4 = enumerate_partitions(4).partitions
-        for p in universe4:
-            for q in universe4:
+        parts4 = tuple(iter_partitions(4))
+        for p in parts4:
+            for q in parts4:
                 if covers(meet(p, q), p):
                     assert covers(q, join(p, q))
-        universe5 = enumerate_partitions(5)
-        parts5 = universe5.partitions
+        parts5 = tuple(iter_partitions(5))
         for b in parts5:
             downs = [a for a in parts5 if a <= b]
             ups = [c for c in parts5 if b <= c]
             for a in downs:
                 for c in ups:
-                    z = relative_complement_in(b, a, c, universe5)
+                    z = relative_complement_in(b, a, c)
                     assert z is not None
                     assert meet(b, z) == a and join(b, z) == c
 

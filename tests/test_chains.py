@@ -11,8 +11,8 @@ from pilat import (
     bottom,
     covers,
     enumerate_maximal_chains,
-    enumerate_partitions,
     extend_to_maximal,
+    iter_partitions,
     keyframe_chain,
     lift_subset_chain,
     top,
@@ -173,10 +173,10 @@ def test_maximal_chain_counts():
 def test_maximal_chains_match_subset_scan():
     # Oracle: test every subset of the lattice, ordered coarse-to-fine.
     for n in range(1, 5):
-        universe = enumerate_partitions(n).partitions
+        parts = tuple(iter_partitions(n))
         found = set()
-        for r in range(1, len(universe) + 1):
-            for combo in itertools.combinations(universe, r):
+        for r in range(1, len(parts) + 1):
+            for combo in itertools.combinations(parts, r):
                 seq = sorted(combo, key=lambda p: -p.block_count)
                 if verify_chain(seq).is_maximal:
                     found.add(tuple(seq))

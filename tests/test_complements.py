@@ -12,7 +12,6 @@ from pilat import (
     bottom,
     complement_census,
     enumerate_complements,
-    enumerate_partitions,
     grieser_count,
     injection_complement,
     injection_complement_family,
@@ -62,9 +61,9 @@ def test_is_complement_examples():
 
 def test_is_complement_matches_lattice_definition():
     for n in range(6):
-        universe = enumerate_partitions(n).partitions
-        for p in universe:
-            for q in universe:
+        parts = tuple(iter_partitions(n))
+        for p in parts:
+            for q in parts:
                 expected = (meet(p, q) == bottom(n) and join(p, q) == top(n))
                 assert is_complement(p, q) == expected
 
@@ -96,18 +95,17 @@ def test_complement_count_example():
 
 def test_enumeration_matches_oracle():
     for n in range(7):
-        universe = enumerate_partitions(n)
-        for p in universe.partitions:
+        for p in iter_partitions(n):
             fast = enumerate_complements(p)
-            slow = naive_complements(p, universe)
+            slow = naive_complements(p)
             assert fast == slow
 
 
 def test_enumeration_yields_in_universe_order():
-    universe = enumerate_partitions(5)
-    for p in universe.partitions:
+    index = {p: i for i, p in enumerate(iter_partitions(5))}
+    for p in index:
         got = enumerate_complements(p)
-        idx = [universe.index_of(q) for q in got]
+        idx = [index[q] for q in got]
         assert idx == sorted(idx)
 
 
@@ -180,11 +178,10 @@ def test_grieser_counts_minimum_block_complements():
     # The formula counts the complements with the largest possible number
     # of blocks, n - m + 1 for an m-block partition.
     for n in range(2, 7):
-        universe = enumerate_partitions(n)
-        for p in universe.partitions:
+        for p in iter_partitions(n):
             m = p.block_count
             slots = n - m + 1
-            witnesses = [q for q in naive_complements(p, universe)
+            witnesses = [q for q in naive_complements(p)
                          if q.block_count == slots]
             assert len(witnesses) == grieser_count(p)
 
@@ -262,6 +259,16 @@ def test_injection_family_matches_falling_factorial():
             assert is_complement(p, q)
 
 
+def test_families_refuse_at_call_time():
+    # the refusal comes from the call itself, before any next()
+    with pytest.raises(ValueError, match="block index out of range"):
+        injection_complement_family(top(3), 5)
+    with pytest.raises(ValueError, match="block index out of range"):
+        injection_complement_family(top(3), -1)
+    with pytest.raises(ValueError, match="no block with two or more elements"):
+        split_transversal_family(bottom(3))
+
+
 def test_injection_requires_big_enough_block():
     p = P("0 1|2 3 4", 5)  # block 0 has 2 elements, 3 outside
     assert list(injection_complement_family(p, 0)) == []
@@ -307,10 +314,9 @@ def test_census_row_fields():
 
 def test_census_totals_match_oracle():
     for n in range(1, 7):
-        universe = enumerate_partitions(n)
         rows = {r.partition: r for r in complement_census(n)}
-        for p in universe.partitions:
-            comps = naive_complements(p, universe)
+        for p in iter_partitions(n):
+            comps = naive_complements(p)
             target = n - p.block_count + 1
             row = rows[p.format()]
             assert (row.total, row.count_nm1) == (
@@ -321,7 +327,7 @@ def test_census_matches_product_formula():
     # the product formula is the oracle of count_nm1 on every row
     for n in range(1, 8):
         rows = complement_census(n)
-        assert len(rows) == len(enumerate_partitions(n).partitions)
+        assert len(rows) == len(tuple(iter_partitions(n)))
         assert all(row.count_nm1 == row.grieser for row in rows)
 
 
@@ -350,15 +356,14 @@ def test_relative_complement_trivial_interval():
 def test_relative_complements_exist_everywhere():
     # Partition lattices are relatively complemented: every three-element
     # chain a <= b <= c admits z with b ^ z = a and b v z = c.
-    universe = enumerate_partitions(4)
-    ps = universe.partitions
+    ps = tuple(iter_partitions(4))
     for a in ps:
         for c in ps:
             if not a <= c:
                 continue
             for b in ps:
                 if a <= b <= c:
-                    z = relative_complement_in(b, a, c, universe)
+                    z = relative_complement_in(b, a, c)
                     assert z is not None
                     assert meet(b, z) == a and join(b, z) == c
 

@@ -4,14 +4,12 @@ import math
 import pytest
 
 from pilat import (
-    LatticeUniverse,
     Partition,
     atoms,
     bell,
     bottom,
     coatoms,
     covers,
-    enumerate_partitions,
     iter_partitions,
     stirling2,
     top,
@@ -40,17 +38,17 @@ def test_enumeration_order_n3():
 
 def test_enumeration_endpoints():
     for n in range(7):
-        universe = enumerate_partitions(n).partitions
-        assert universe[0] == top(n)
-        assert universe[-1] == bottom(n)
+        parts = tuple(iter_partitions(n))
+        assert parts[0] == top(n)
+        assert parts[-1] == bottom(n)
 
 
 def test_enumeration_counts_and_uniqueness():
     for n in range(9):
-        universe = enumerate_partitions(n).partitions
-        assert len(universe) == bell(n)
-        assert len(set(universe)) == len(universe)
-        labels = [p.labels for p in universe]
+        parts = tuple(iter_partitions(n))
+        assert len(parts) == bell(n)
+        assert len(set(parts)) == len(parts)
+        labels = [p.labels for p in parts]
         # strictly increasing RGS vectors, B(n) of them: exactly the RGS order
         assert all(a < b for a, b in zip(labels, labels[1:]))
 
@@ -61,8 +59,6 @@ def test_enumeration_is_not_recursive(monkeypatch):
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError, match="cap"):
-        enumerate_partitions(13)
     with pytest.raises(ValueError, match="cap"):
         list(iter_partitions(13))
 
@@ -82,17 +78,6 @@ def test_iter_partitions_honours_env_cap(monkeypatch):
     assert len(list(iter_partitions(3))) == 5
     monkeypatch.setenv("PILAT_MAX_N", "13")
     assert next(iter_partitions(13)) == top(13)
-
-
-def test_universe_index():
-    universe = enumerate_partitions(3)
-    assert isinstance(universe, LatticeUniverse)
-    for i, p in enumerate(universe.partitions):
-        assert universe.index_of(p) == i
-        assert p in universe
-    assert bottom(4) not in universe
-    with pytest.raises(KeyError):
-        universe.index_of(bottom(4))
 
 
 def test_bell_values():
@@ -174,9 +159,9 @@ def test_coatoms():
 
 def test_atoms_coatoms_match_cover_scan():
     for n in range(2, 7):
-        universe = enumerate_partitions(n).partitions
-        assert set(atoms(n)) == {p for p in universe if covers(bottom(n), p)}
-        assert set(coatoms(n)) == {p for p in universe if covers(p, top(n))}
+        parts = tuple(iter_partitions(n))
+        assert set(atoms(n)) == {p for p in parts if covers(bottom(n), p)}
+        assert set(coatoms(n)) == {p for p in parts if covers(p, top(n))}
 
 
 def test_closed_form_counts_match_the_lists():
@@ -187,7 +172,7 @@ def test_closed_form_counts_match_the_lists():
 
 def test_upper_cover_count_is_block_pairs():
     for n in range(6):
-        universe = enumerate_partitions(n).partitions
-        for p in universe:
-            ups = sum(1 for q in universe if covers(p, q))
+        parts = tuple(iter_partitions(n))
+        for p in parts:
+            ups = sum(1 for q in parts if covers(p, q))
             assert ups == math.comb(p.block_count, 2)

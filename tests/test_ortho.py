@@ -9,8 +9,8 @@ from pilat import (
     bottom,
     check_ortho_map,
     covers,
-    enumerate_partitions,
     brute_search_orthocomplementation,
+    iter_partitions,
     non_ortho_witness,
     search_orthocomplementation,
     top,
@@ -119,9 +119,9 @@ def test_brute_search_cap():
 def test_found_map_reverses_covering_pairs():
     for n in (1, 2):
         mapping = search_orthocomplementation(n)
-        universe = enumerate_partitions(n).partitions
-        for a in universe:
-            for b in universe:
+        parts = tuple(iter_partitions(n))
+        for a in parts:
+            for b in parts:
                 assert covers(a, b) == covers(mapping[b], mapping[a])
 
 
@@ -157,11 +157,10 @@ def test_cover_counts_match_pairwise_scan():
     from pilat.ortho import _cover_counts
 
     for n in range(6):
-        universe = enumerate_partitions(n)
-        parts = universe.partitions
+        parts = tuple(iter_partitions(n))
         below = [sum(covers(b, a) for b in parts) for a in parts]
         above = [sum(covers(a, b) for b in parts) for a in parts]
-        assert _cover_counts(universe) == (below, above)
+        assert _cover_counts(parts) == (below, above)
 
 
 def test_unpruned_search_honours_env_cap(monkeypatch):

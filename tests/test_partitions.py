@@ -23,7 +23,6 @@ from pilat import (
     doubleton_antichain,
     enumerate_complements,
     enumerate_maximal_chains,
-    enumerate_partitions,
     extend_to_maximal_antichain,
     iter_partitions,
     join,
@@ -191,7 +190,6 @@ def test_member_sets_take_integers_only(name):
 MEMBER_LISTS = {
     "verify_chain": lambda mem, n: verify_chain([bottom(n), *mem]),
     "verify_antichain": lambda mem, n: verify_antichain([bottom(n), *mem], n),
-    "naive_complements": lambda mem, n: naive_complements(bottom(n), [bottom(n), *mem]),
 }
 
 
@@ -202,11 +200,6 @@ def test_member_lists_take_partitions_of_one_ground(name):
             MEMBER_LISTS[name]([bad], 3)
     with pytest.raises(ValueError, match="ground-set mismatch: 4 vs 3"):
         MEMBER_LISTS[name]([bottom(4)], 3)
-
-
-def test_naive_complements_reads_a_one_shot_universe_once():
-    p = Partition.parse("0 1|2 3", 4)
-    assert naive_complements(p, iter(enumerate_partitions(4))) == naive_complements(p)
 
 
 # ------------------------------------------------------------------- ordering
@@ -291,10 +284,10 @@ def test_covers_examples():
 
 def test_covers_matches_no_strictly_between():
     for n in range(5):
-        universe = enumerate_partitions(n).partitions
-        for p in universe:
-            for q in universe:
-                brute = (p < q and not any(p < z < q for z in universe))
+        parts = tuple(iter_partitions(n))
+        for p in parts:
+            for q in parts:
+                brute = (p < q and not any(p < z < q for z in parts))
                 assert covers(p, q) == brute
 
 
@@ -378,7 +371,6 @@ SIZED = {
     "bipartition_antichain": bipartition_antichain,
     "non_ortho_witness": non_ortho_witness,
     "iter_partitions": lambda n: list(iter_partitions(n)),
-    "enumerate_partitions": enumerate_partitions,
     "stirling2": lambda n: stirling2(n, 0),
     "bell": bell,
     "enumerate_maximal_chains": enumerate_maximal_chains,

@@ -47,3 +47,37 @@ def test_census_sweep_has_no_jobs_option(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--jobs" in err
+
+
+@pytest.mark.parametrize("env,kwargs,message", [
+    (None, {"max_k": 8}, "k=8 needs 2^k elements within the ground cap 128"),
+    (None, {"count_n": 7}, "maximal-chain cap 6: n=7 outside 0..6"),
+    (None, {"max_k": 0}, "--max-k must be at least 1, got 0"),
+    (None, {"max_k": -1}, "--max-k must be at least 1, got -1"),
+    ("3", {}, "k=3 needs 2^k elements within the ground cap 3"),
+    ("3", {"max_k": 1}, "maximal-chain cap 3: n=5 outside 0..3"),
+])
+def test_chain_gallery_refuses_before_the_first_line(capsys, monkeypatch, env, kwargs, message):
+    if env is None:
+        monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("PILAT_MAX_N", env)
+    assert _load("chain_gallery").run(**kwargs) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("env,kwargs,message", [
+    (None, {"max_n": 130}, "ground-set cap 128: n=130 outside 0..128"),
+    ("3", {"max_n": 4}, "ground-set cap 3: n=4 outside 0..3"),
+])
+def test_ortho_audit_refuses_before_the_first_row(capsys, monkeypatch, env, kwargs, message):
+    if env is None:
+        monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("PILAT_MAX_N", env)
+    assert _load("ortho_audit").run(**kwargs) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
