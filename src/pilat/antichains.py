@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .enumeration import atoms, coatoms
-from .partitions import (Partition, _check_cap, _checked_members, _mask_elements, _trusted,
-                         comparable)
+from .partitions import Partition, _check_cap, _checked_members, _mask_elements, _trusted
 
 ANTICHAIN_CAP = 10
 
@@ -28,9 +27,20 @@ class AntichainReport:
 
 
 def _comparable_pair(members: list[Partition]) -> tuple[Partition, Partition] | None:
+    """The first pair (members[i], members[k]), i < k, of which one refines
+    the other, or None.
+
+    The members are distinct, so two with the same block count are
+    incomparable, and of two with different counts only the one with more
+    blocks can be the finer; each pair takes at most one ``<=`` test.
+    """
+    counts = [p.block_count for p in members]
+    if len(set(counts)) <= 1:
+        return None
     for i, p in enumerate(members):
-        for q in members[i + 1:]:
-            if comparable(p, q):
+        for k in range(i + 1, len(members)):
+            q = members[k]
+            if counts[i] > counts[k] and p <= q or counts[i] < counts[k] and q <= p:
                 return (p, q)
     return None
 
@@ -41,9 +51,10 @@ def _incomparable(chosen: list[Partition], n: int) -> Iterator[Partition]:
     greedy completion of ``chosen`` to a maximal antichain.  Its first item
     is the first partition incomparable to all of ``chosen``.
 
-    One iterative depth-first walk visits the prefixes of q in lexicographic
-    RGS order (Knuth, TAOCP 4A, 7.2.1.5), placing element e into an open
-    block or a new one.  Member i is bit i of two integers:
+    It prunes the walk of ``iter_partitions`` (see ``enumeration``): one
+    iterative depth-first walk visits the prefixes of q in lexicographic RGS
+    order (Knuth, TAOCP 4A, 7.2.1.5), placing element e into an open block
+    or a new one.  Member i is bit i of two integers:
 
     * ``leq``: the members a for which q <= a is still possible, i.e. each
       placed element lies in the a-block of the least element of its q-block;

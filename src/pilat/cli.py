@@ -25,7 +25,7 @@ from . import chains as ch
 from . import complements as co
 from . import ortho
 from .enumeration import _atom_coatom_counts, bell, iter_partitions
-from .partitions import Partition, _check_cap, _format_many, covers, effective_cap
+from .partitions import Partition, _check_cap, _format_many, effective_cap
 
 HASSE_CAP = 7
 CENSUS_VERSION = "# pilat census v1"
@@ -134,9 +134,10 @@ def _hasse_dot(parts: list[Partition]) -> list[str]:
         lines.append(f'  "{labels[i]}";')
         by_count.setdefault(p.block_count, []).append(i)
     for i, p in enumerate(parts):
-        # an upper cover has exactly one block fewer
+        # an upper cover is a coarsening with exactly one block fewer: the
+        # bucket settles the rank, so only refinement is left to test
         for k in by_count.get(p.block_count - 1, ()):
-            if covers(p, parts[k]):
+            if p <= parts[k]:
                 lines.append(f'  "{labels[i]}" -> "{labels[k]}";')
     lines.append("}")
     return lines
@@ -150,7 +151,7 @@ def _cmd_hasse(args) -> tuple[int, list[str]]:
         _check_cap(args.n, HASSE_CAP, "hasse")
         parts = list(iter_partitions(args.n))
     else:
-        parts = _read_partition_file(args.chain or args.antichain)
+        parts = _read_partition_file(sources[0])
     return 0, _hasse_dot(parts)
 
 
@@ -229,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         code, lines = args.func(args)
         text = "\n".join([*lines, ""])
         out_path = getattr(args, "output", None)  # not every subcommand has --output
-        if out_path:
+        if out_path is not None:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         else:

@@ -55,9 +55,10 @@ def naive_complements(p: Partition) -> list[Partition]:
 def _frontier(p: Partition) -> Iterator[tuple[list[int], list[int]]]:
     """The live nodes of the complement walk at the last element, in RGS order.
 
-    One iterative depth-first walk visits the restricted growth strings of
-    the candidate Q in lexicographic order (Knuth, TAOCP 4A, 7.2.1.5),
-    placing element e into an open block of Q or a new one.  A block may
+    It prunes the walk of ``iter_partitions`` (see ``enumeration``): one
+    iterative depth-first walk visits the restricted growth strings of the
+    candidate Q in lexicographic order (Knuth, TAOCP 4A, 7.2.1.5), placing
+    element e into an open block of Q or a new one.  A block may
     take at most one element per block of p (else the meet is not bottom).
     Connectivity is tracked by a union-find over p's blocks: a placement
     fuses at most two pieces, the root it absorbs is kept per depth and

@@ -2,8 +2,15 @@
 
 Partitions are enumerated through restricted growth strings (RGS): the
 label vector l with l[0] = 0 and l[i] <= 1 + max(l[:i]).  RGS vectors in
-lexicographic order start at 00...0 (the one-block partition, top) and end
-at 012...(n-1) (all singletons, bottom).
+lexicographic order (Knuth, TAOCP 4A, 7.2.1.5) start at 00...0 (the
+one-block partition, top) and end at 012...(n-1) (all singletons, bottom).
+
+One iterative depth-first walk visits them in that order.  It places
+element e into an open block j, or opens a new block, and backs up by
+undoing that placement; its state is the label of each placed element and
+the list of open block masks, changed in place.  At a leaf the list is
+copied into a partition.  ``complements._frontier`` and
+``antichains._incomparable`` prune this same walk.
 """
 from __future__ import annotations
 
@@ -17,34 +24,36 @@ COUNT_CAP = 26  # bell(26) still fits in 64 bits
 
 
 def iter_partitions(n: int) -> Iterator[Partition]:
-    """Stream all partitions of {0..n-1} in lexicographic RGS order."""
+    """Stream all partitions of {0..n-1} in lexicographic RGS order, by the
+    walk of the module docstring; n = 0 yields the empty partition."""
     _check_cap(n, ENUM_CAP, "enumeration")
     return _rgs_partitions(n)  # not a generator itself: the cap is checked at call time
 
 
 def _rgs_partitions(n: int) -> Iterator[Partition]:
-    if n == 0:
-        yield _trusted(0, ())
-        return
-    # Knuth, TAOCP 4A, 7.2.1.5, Algorithm H: element i may take the labels
-    # 0..bound[i], where bound[i] = 1 + max(labels[:i]) and bound[0] = 0.
-    labels = [0] * n
-    bound = [0] + [1] * (n - 1)
+    # the walk of the module docstring; j == len(masks) opens a new block
+    label = [0] * n         # label[e]: the block of e on the current path
+    masks: list[int] = []   # the open blocks, changed in place
+    e, j = 0, 0             # place element e into block j next
     while True:
-        masks = [0] * max(bound[-1], labels[-1] + 1)
-        for e, lab in enumerate(labels):
-            masks[lab] |= 1 << e
-        yield _trusted(n, masks)
-        j = n - 1
-        while j and labels[j] == bound[j]:
-            j -= 1
-        if not j:
+        if e == n:
+            yield _trusted(n, masks)  # copies masks into a tuple
+        elif j <= len(masks):
+            if j == len(masks):
+                masks.append(0)
+            masks[j] |= 1 << e
+            label[e] = j
+            e, j = e + 1, 0
+            continue
+        # every block for element e is done: back up to element e - 1
+        e -= 1
+        if e < 0:
             return
-        labels[j] += 1
-        nxt = max(bound[j], labels[j] + 1)
-        for i in range(j + 1, n):
-            labels[i] = 0
-            bound[i] = nxt
+        j = label[e]
+        masks[j] ^= 1 << e
+        if not masks[j]:  # e opened block j, the last one
+            masks.pop()
+        j += 1
 
 
 def _stirling_row(n: int) -> list[int]:

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilat import (
     Partition,
@@ -17,6 +19,9 @@ from pilat import (
     top,
     verify_antichain,
 )
+from pilat.antichains import AntichainReport
+
+from strats import partitions
 
 
 def P(text, n):
@@ -36,6 +41,41 @@ def test_verify_comparable_pair():
     assert not report.is_antichain
     assert report.witness == (bottom(3), top(3))
     assert report.is_maximal is None
+
+
+def _first_comparable_pair(members):
+    """Oracle: the first member pair, in list order, that ``comparable`` accepts."""
+    for i, p in enumerate(members):
+        for q in members[i + 1:]:
+            if comparable(p, q):
+                return (p, q)
+    return None
+
+
+mixed_rank_lists = st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(partitions(n), min_size=2, max_size=8, unique=True).filter(
+        lambda mem: len({p.block_count for p in mem}) > 1)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(mixed_rank_lists)
+def test_pairwise_check_matches_all_pairs_oracle(case):
+    n, members = case
+    pair = _first_comparable_pair(members)
+    report = verify_antichain(members, n, check_maximal=False)
+    assert report == AntichainReport(pair is None, None, witness=pair)
+
+
+def test_one_rank_members_take_no_refinement_test(monkeypatch):
+    calls = []
+    leq = Partition.__le__
+    monkeypatch.setattr(Partition, "__le__", lambda p, q: calls.append((p, q)) or leq(p, q))
+    report = verify_antichain(bipartition_antichain(12), 12, check_maximal=False)
+    assert report == AntichainReport(True, None) and calls == []
+    # across ranks only the finer member is tested against the coarser one
+    report = verify_antichain([top(3), bottom(3)], 3, check_maximal=False)
+    assert report.witness == (top(3), bottom(3)) and calls == [(bottom(3), top(3))]
 
 
 def test_verify_non_maximal():

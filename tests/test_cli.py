@@ -329,6 +329,19 @@ def test_hasse_matches_all_pairs_scan(capsys, tmp_path):
     rc, out, _ = run(capsys, "hasse", "--chain", str(chain_file))
     assert rc == 0 and out == _hasse_all_pairs(parts)
     assert out.count("->") > 0
+    # a repeated line repeats its node and its edges
+    repeated = parts + parts[2:5]
+    chain_file.write_text("".join(p.format() + "\n" for p in repeated))
+    rc, out, _ = run(capsys, "hasse", "--chain", str(chain_file))
+    assert rc == 0 and out == _hasse_all_pairs(repeated)
+    assert out.count("->") > _hasse_all_pairs(parts).count("->")
+    # one rank: every line has two blocks, so there is no edge
+    rank = [p for p in iter_partitions(5) if p.block_count == 2]
+    random.Random(1).shuffle(rank)
+    chain_file.write_text("".join(p.format() + "\n" for p in rank))
+    rc, out, _ = run(capsys, "hasse", "--antichain", str(chain_file))
+    assert rc == 0 and out == _hasse_all_pairs(rank)
+    assert "->" not in out
 
 
 def test_hasse_requires_exactly_one_source(capsys):
@@ -488,6 +501,15 @@ def test_output_file_untouched_on_exit_2(capsys, tmp_path, argv):
     rc, out, _ = run(capsys, *argv, "--output", str(target))
     assert rc == 2 and out == ""
     assert target.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("argv", [("hasse", "--chain", ""), ("hasse", "--antichain", ""),
+                                  ("enumerate", "--n", "2", "--output", ""),
+                                  ("chains", "verify", "")],
+                         ids=["hasse --chain", "hasse --antichain", "--output", "chains verify"])
+def test_empty_path_exits_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and err.startswith("error: ")
 
 
 

@@ -156,6 +156,9 @@ all_argv = st.one_of(enumerate_argv, keyframe_argv, antichains_argv, census_argv
 @settings(deadline=None, max_examples=300)
 @given(all_argv)
 @example((["ortho", "witness", "--n", str(HUGE)], {}))
+@example((["hasse", "--chain", ""], {}))
+@example((["hasse", "--antichain", ""], {}))
+@example((["enumerate", "--n", "2", "--output", ""], {}))
 # Hypothesis raises the recursion limit while a test runs: 1000 "[", enough
 # for a RecursionError from the command line, meets only a syntax error here.
 @example((["cardinal", "eval", "fin(1)", "--model", "model.json"],

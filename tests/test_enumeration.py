@@ -1,4 +1,5 @@
 """Exhaustive generation order, counting formulas, atoms and coatoms."""
+import itertools
 import math
 
 import pytest
@@ -29,6 +30,38 @@ STIRLING_ROWS = {
     5: [0, 1, 15, 25, 10, 1],
     6: [0, 1, 31, 90, 65, 15, 1],
 }
+
+
+def _algorithm_h(n):
+    """Oracle: the (n, masks) sequence of Knuth's Algorithm H (TAOCP 4A,
+    7.2.1.5), which lists the RGS vectors in lexicographic order.  Element i
+    may take the labels 0..bound[i], where bound[i] = 1 + max(labels[:i])."""
+    if n == 0:
+        yield 0, ()
+        return
+    labels = [0] * n
+    bound = [0] + [1] * (n - 1)
+    while True:
+        masks = [0] * max(bound[-1], labels[-1] + 1)
+        for e, lab in enumerate(labels):
+            masks[lab] |= 1 << e
+        yield n, tuple(masks)
+        j = n - 1
+        while j and labels[j] == bound[j]:
+            j -= 1
+        if not j:
+            return
+        labels[j] += 1
+        nxt = max(bound[j], labels[j] + 1)
+        for i in range(j + 1, n):
+            labels[i] = 0
+            bound[i] = nxt
+
+
+def test_enumeration_matches_algorithm_h():
+    for n in range(11):
+        got = ((p.n, p.masks) for p in iter_partitions(n))
+        assert all(a == b for a, b in itertools.zip_longest(got, _algorithm_h(n)))
 
 
 def test_enumeration_order_n3():
