@@ -19,16 +19,22 @@ from dataclasses import dataclass
 from typing import Mapping
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form (immutable)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple = ()):
-        terms = tuple((e, int(c)) for e, c in terms)
+        terms = tuple((e, c) for e, c in terms)
         for i, (e, c) in enumerate(terms):
             if not isinstance(e, Ordinal):
                 raise TypeError("exponents must be Ordinals")
+            if not _is_int(c):
+                raise TypeError("coefficients must be ints")
             if c < 1:
                 raise ValueError("coefficients must be positive")
             if i and not terms[i - 1][0] > e:
@@ -40,6 +46,8 @@ class Ordinal:
 
     @staticmethod
     def from_int(k: int) -> "Ordinal":
+        if not _is_int(k):
+            raise TypeError(f"expected an int, not {type(k).__name__}")
         if k < 0:
             raise ValueError("ordinals are non-negative")
         return Ordinal(((ZERO, k),)) if k else ZERO
@@ -168,6 +176,10 @@ class Cardinal:
     def __init__(self, finite: int | None, index: Ordinal | None):
         if (finite is None) == (index is None):
             raise ValueError("exactly one of finite value and aleph index")
+        if finite is not None and not _is_int(finite):
+            raise TypeError("finite cardinals must be ints")
+        if index is not None and not isinstance(index, Ordinal):
+            raise TypeError("aleph indices must be Ordinals")
         if finite is not None and finite < 0:
             raise ValueError("finite cardinals are non-negative")
         object.__setattr__(self, "finite", finite)
@@ -245,7 +257,7 @@ def fin(k: int) -> Cardinal:
 
 
 def _ordinal(x: Ordinal | int) -> Ordinal:
-    return Ordinal.from_int(x) if isinstance(x, int) else x
+    return x if isinstance(x, Ordinal) else Ordinal.from_int(x)
 
 
 def aleph(index: Ordinal | int) -> Cardinal:

@@ -105,9 +105,8 @@ def _cmd_ortho(args) -> tuple[int, list[str]]:
     found = ortho.search_orthocomplementation(args.n, exhaustive=args.exhaustive)
     if found is None:
         return 0, ["none"]
-    parts = list(iter_partitions(args.n))
-    text = dict(zip(parts, _format_many(parts)))  # found maps Pi_n into itself
-    return 0, ["found", *(f"{text[p]} -> {text[found[p]]}" for p in parts)]
+    text = dict(zip(found, _format_many(found)))  # keys: Pi_n in RGS order, each image a key
+    return 0, ["found", *(f"{text[a]} -> {text[b]}" for a, b in found.items())]
 
 
 def _load_model(source: str) -> card.ContinuumModel:

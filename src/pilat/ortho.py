@@ -10,9 +10,12 @@ complement, and it turns covering pairs around: b covered by a iff a'
 covered by b'.
 
 Pi_1 and Pi_2 carry one (swap bottom and top); no Pi_n with n >= 3 does.
-For n = 3, 4 an exhaustive search settles it; from n = 5 on a counting
-witness suffices: bottom has C(n, 2) covers while top has 2^(n-1) - 1
-cocovers, and the map would have to exchange those two sets bijectively.
+For n = 3 an exhaustive search settles it.  From n = 4 on a counting
+argument suffices: bottom has C(n, 2) covers while top has 2^(n-1) - 1
+cocovers, the map would have to exchange those two sets bijectively, and
+C(n, 2) < 2^(n-1) - 1 (6 < 7 at n = 4).  This is the test at which the
+pruned search refuses its first pair, top with bottom.  The counting
+witness is offered from n = 5 by choice.
 """
 from __future__ import annotations
 
@@ -65,38 +68,31 @@ def check_ortho_map(mapping: Mapping[Partition, Partition], n: int) -> OrthoRepo
     return OrthoReport(True)
 
 
-def _cover_counts(parts: tuple[Partition, ...]) -> tuple[list[int], list[int]]:
-    """For each index: how many elements it covers / is covered by.
+def _cover_counts(p: Partition) -> tuple[int, int]:
+    """How many elements p covers, and how many cover it.
 
     Splitting a block of size s in two gives 2^(s-1) - 1 lower covers;
     merging two of k blocks gives C(k, 2) upper covers.
     """
-    below = [sum((1 << (m.bit_count() - 1)) - 1 for m in p.masks) for p in parts]
-    above = [comb(p.block_count, 2) for p in parts]
-    return below, above
+    return (sum((1 << (m.bit_count() - 1)) - 1 for m in p.masks),
+            comb(p.block_count, 2))
 
 
 def _search(n: int, pruned: bool) -> dict[Partition, Partition] | None:
     parts = tuple(iter_partitions(n))
     size = len(parts)
     index = {p: i for i, p in enumerate(parts)}
-    compl = [[index[q] for q in enumerate_complements(p)] for p in parts]
-    below, above = _cover_counts(parts)
-    le = [[parts[i] <= parts[j] for j in range(size)] for i in range(size)]
     # assign high-rank elements first: their candidate lists are shortest
     order = sorted(range(size), key=lambda i: (parts[i].block_count, i))
     image = [-1] * size
 
     def fits(i: int, j: int) -> bool:
-        if pruned and (below[i] != above[j] or above[i] != below[j]):
+        a, b = parts[i], parts[j]
+        if pruned and _cover_counts(b) != _cover_counts(a)[::-1]:
             return False
-        for x in range(size):
-            fx = image[x]
-            if fx < 0:
-                continue
-            if le[x][i] != le[j][fx] or le[i][x] != le[fx][j]:
-                return False
-        return True
+        # a -> b must reverse the order against every assigned pair x -> fx
+        return all((parts[x] <= a) == (b <= parts[fx]) and (a <= parts[x]) == (parts[fx] <= b)
+                   for x, fx in enumerate(image) if fx >= 0)
 
     def assign(pos: int) -> dict[Partition, Partition] | None:
         while pos < size and image[order[pos]] >= 0:
@@ -106,7 +102,8 @@ def _search(n: int, pruned: bool) -> dict[Partition, Partition] | None:
             report = check_ortho_map(mapping, n)
             return mapping if report.ok else None
         i = order[pos]
-        for j in compl[i]:
+        for q in enumerate_complements(parts[i]):
+            j = index[q]
             if image[j] >= 0 and j != i:
                 continue
             if j == i and size > 1:
@@ -131,8 +128,9 @@ def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partit
     Candidates are restricted to complement pairs and pruned by cover-count
     symmetry and order reversal, all of which any valid map must satisfy;
     completed assignments are verified against the axioms, so a None result
-    means no map exists.  n <= 4 runs as is; n = 5 only with
-    ``exhaustive=True`` (it is settled faster by the counting witness).
+    means no map exists.  A found map has Pi_n as its keys, in RGS order (the
+    order of ``iter_partitions``).  n <= 4 runs as is; n = 5 only with
+    ``exhaustive=True``.  That gate is a size cap and nothing more.
     """
     _check_cap(n, SEARCH_CAP_EXHAUSTIVE if exhaustive else SEARCH_CAP,
                "orthocomplement search")
@@ -157,7 +155,8 @@ def non_ortho_witness(n: int) -> NonOrthoWitness:
     """Counting certificate that Pi_n has no orthocomplementation (n >= 5).
 
     An order-reversing involution matches the covers of bottom with the
-    cocovers of top, but C(n, 2) < 2^(n-1) - 1 from n = 5 on.
+    cocovers of top, but C(n, 2) < 2^(n-1) - 1 from n = 4 on (6 < 7).  The
+    certificate is offered from n = 5 by choice; n = 4 is left to the search.
     """
     _check_size(n)
     if n < 5:

@@ -188,6 +188,26 @@ def test_cardinal_validation():
         Cardinal(finite=3, index=ZERO)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: fin(2.5),
+    lambda: fin(True),
+    lambda: fin("3"),
+    lambda: Cardinal(None, 2),
+    lambda: Ordinal(((ZERO, 2.7),)),
+    lambda: Ordinal(((ZERO, "3"),)),
+    lambda: Ordinal(((ZERO, True),)),
+    lambda: Ordinal.from_int(2.5),
+    lambda: Ordinal.from_int(False),
+    lambda: aleph(2.5),
+    lambda: aleph(True),
+    lambda: ContinuumModel(continuum={0: 2.5}),
+    lambda: ContinuumModel(continuum={1.0: 2}),
+])
+def test_constructors_take_integers_only(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 # ------------------------------------------------------------------ GCH powers
 
 def test_gch_power_table():

@@ -230,6 +230,22 @@ def test_split_transversal_rejects_bad_input():
         split_transversal_complement(p, part_one=[7])
 
 
+def test_split_transversal_gamma_picks_representatives():
+    p = P("0 1 2|3 4|5 6 7", 8)  # pivot 0; non-pivot blocks 1 and 2
+    found = set()
+    for r1 in p.blocks[1]:
+        for r2 in p.blocks[2]:
+            q = split_transversal_complement(p, gamma={1: r1, 2: r2}, part_one=[1])
+            assert is_complement(p, q)
+            found.add(q)
+    assert len(found) == len(p.blocks[1]) * len(p.blocks[2])
+    for gamma, message in [({0: 0}, "bad block index 0 in gamma"),
+                           ({5: 3}, "bad block index 5 in gamma"),
+                           ({1: 5}, "element 5 not in block 1")]:
+        with pytest.raises(ValueError, match=message):
+            split_transversal_complement(p, gamma=gamma)
+
+
 # ----------------------------------------------------- injection construction
 
 def test_injection_example():

@@ -158,9 +158,37 @@ def test_cover_counts_match_pairwise_scan():
 
     for n in range(6):
         parts = tuple(iter_partitions(n))
-        below = [sum(covers(b, a) for b in parts) for a in parts]
-        above = [sum(covers(a, b) for b in parts) for a in parts]
-        assert _cover_counts(parts) == (below, above)
+        for a in parts:
+            below = sum(covers(b, a) for b in parts)
+            above = sum(covers(a, b) for b in parts)
+            assert _cover_counts(a) == (below, above)
+
+
+def test_exhaustive_search_reads_only_the_first_pair(monkeypatch):
+    # top's one complement is bottom, and the cover counts refuse that pair
+    # from n = 4 on, so the search needs no <= and only top's complements
+    from pilat import ortho
+
+    calls = {"le": 0, "complements": 0}
+    le, complements = Partition.__le__, ortho.enumerate_complements
+
+    def counted_le(self, other):
+        calls["le"] += 1
+        return le(self, other)
+
+    def counted_complements(p):
+        calls["complements"] += 1
+        return complements(p)
+
+    monkeypatch.setattr(Partition, "__le__", counted_le)
+    monkeypatch.setattr(ortho, "enumerate_complements", counted_complements)
+    assert search_orthocomplementation(5, exhaustive=True) is None
+    assert calls == {"le": 0, "complements": 1}
+
+
+def test_found_map_lists_pi_n_in_rgs_order():
+    for n in range(3):
+        assert list(search_orthocomplementation(n)) == list(iter_partitions(n))
 
 
 def test_unpruned_search_honours_env_cap(monkeypatch):
