@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from pilat import complement_census
+from pilat import complement_census, grieser_count
 from pilat.complements import CENSUS_CAP
 from pilat.partitions import _check_cap
 
@@ -28,14 +28,16 @@ def run(max_n: int = 7) -> int:
           f"{'formula-ok':>10} {'seconds':>8}")
     for n in range(1, max_n + 1):
         start = time.perf_counter()
-        rows = complement_census(n)
+        rows = total = biggest = agree = 0
+        for p, p_total, count_nm1 in complement_census(n):
+            rows += 1
+            total += p_total
+            biggest = max(biggest, p_total)
+            agree += count_nm1 == grieser_count(p)
         elapsed = time.perf_counter() - start
-        total = sum(r.total for r in rows)
-        biggest = max(r.total for r in rows)
-        agree = sum(1 for r in rows if r.count_nm1 == r.grieser)
-        print(f"{n:>2} {len(rows):>10} {total:>11} {biggest:>9} "
-              f"{agree:>6}/{len(rows):<3} {elapsed:>8.3f}")
-        if agree != len(rows):
+        print(f"{n:>2} {rows:>10} {total:>11} {biggest:>9} "
+              f"{agree:>6}/{rows:<3} {elapsed:>8.3f}")
+        if agree != rows:
             print("  disagreement!", file=sys.stderr)
             return 1
     return 0

@@ -19,10 +19,9 @@ from .cardinal import (ALEPH0, GCH, Cardinal, CardinalInterval, ChainBounds,
 from .chains import (ChainReport, KeyframePlan, enumerate_maximal_chains,
                      extend_to_maximal, keyframe_chain, lift_subset_chain,
                      verify_chain)
-from .complements import (CensusRow, complement_census, enumerate_complements,
-                          grieser_count, injection_complement,
-                          injection_complement_family, is_complement,
-                          naive_complements, relative_complement_in,
+from .complements import (complement_census, enumerate_complements, grieser_count,
+                          injection_complement, injection_complement_family,
+                          is_complement, naive_complements, relative_complement_in,
                           split_transversal_complement, split_transversal_family)
 from .enumeration import atoms, bell, coatoms, iter_partitions, stirling2
 from .ortho import (NonOrthoWitness, OrthoReport, brute_search_orthocomplementation,

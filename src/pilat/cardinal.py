@@ -289,6 +289,8 @@ class ContinuumModel:
 
     def __init__(self, gch: bool = False,
                  continuum: Mapping[Ordinal | int, Ordinal | int] | None = None):
+        if not isinstance(gch, bool):
+            raise TypeError(f"gch must be a bool, not {type(gch).__name__}")
         self.gch = gch
         entries = {_ordinal(k): _ordinal(v) for k, v in (continuum or {}).items()}
         if gch and entries:
@@ -452,6 +454,12 @@ class PartitionShape:
     trivial: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.kappa, Cardinal):
+            raise TypeError(f"kappa must be a Cardinal, not {type(self.kappa).__name__}")
+        if not _is_int(self.full_blocks):
+            raise TypeError(f"full_blocks must be an int, not {type(self.full_blocks).__name__}")
+        if self.residue is not None and not isinstance(self.residue, Cardinal):
+            raise TypeError(f"residue must be a Cardinal, not {type(self.residue).__name__}")
         if not self.kappa.is_infinite:
             raise ValueError("shape classification needs an infinite ground set")
         if self.full_blocks not in (0, 1, 2):

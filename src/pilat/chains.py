@@ -191,8 +191,10 @@ def keyframe_chain(k: int) -> list[Partition]:
     """The maximal chain of Pi_{2^k} walking the dyadic keyframes.
 
     Starts at bottom and, level by level from the finest keyframe up,
-    un-splits blocks left to right.  The chain has exactly 2^k elements and
-    passes through every keyframe.
+    merges split blocks right to left: the rightmost split block first, so
+    ``keyframe_chain(3)`` begins ``0|1|2|3|4|5|6|7``, ``0|1|2|3|4|5|6 7``,
+    ``0|1|2|3|4 5|6 7``.  The chain has exactly 2^k elements and passes
+    through every keyframe.
     """
     plan = KeyframePlan(k)
     out = [bottom(plan.n)]

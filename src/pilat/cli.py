@@ -88,12 +88,11 @@ def _cmd_antichains(args) -> tuple[int, list[str]]:
 
 
 def _cmd_complements(args) -> tuple[int, list[str]]:
-    rows = co.complement_census(args.n)
     # no field holds a comma, quote or newline, so no CSV quoting is needed
     lines = [CENSUS_VERSION, "partition,m,block_sizes,total,count_nm1,grieser"]
-    for row in rows:
-        lines.append(",".join(map(str, [row.partition, row.m, "+".join(map(str, row.block_sizes)),
-                                        row.total, row.count_nm1, row.grieser])))
+    for p, total, count_nm1 in co.complement_census(args.n):
+        sizes = "+".join(map(str, p.block_sizes))
+        lines.append(f"{p},{p.block_count},{sizes},{total},{count_nm1},{co.grieser_count(p)}")
     return 0, lines
 
 

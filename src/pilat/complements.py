@@ -7,9 +7,10 @@ whole ground set (join condition).
 
 The module provides a naive filtering oracle, a pruned backtracking
 enumerator that must agree with it, the classic product formula for the
-number of complements with exactly n - m + 1 blocks, a census that checks
-that formula over all of Pi_n, and two explicit constructions that each
-produce families of pairwise distinct complements.
+number of complements with exactly n - m + 1 blocks, a census that counts
+the complements of every partition of Pi_n (the CLI prints the formula
+beside the counts), and two explicit constructions that each produce
+families of pairwise distinct complements.
 
 The enumerator and the census share one iterative depth-first walk over the
 restricted growth strings of Q, ``_frontier``.  It stops at the last
@@ -22,7 +23,6 @@ is live, so a consumer copies it before the walk's next step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Mapping
 
@@ -319,54 +319,40 @@ def _injections(p: Partition, big_block: int) -> Iterator[Partition]:
         yield injection_complement(p, big_block, dict(zip(outside, perm)))
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    partition: str
-    m: int
-    block_sizes: tuple[int, ...]
-    total: int
-    count_nm1: int
-    grieser: int
+def complement_census(n: int) -> Iterator[tuple[Partition, int, int]]:
+    """One ``(p, total, count_nm1)`` triple per partition p of Pi_n, in RGS order.
+
+    ``total`` counts all complements of p, ``count_nm1`` those with exactly
+    n - m + 1 blocks, where m is p's block count.  Bottom and top are kept
+    (each has the single complement top resp. bottom).  n = 0 is rejected:
+    the empty partition is its own complement but has no block to count, so
+    the n - m + 1 count is meaningless.
+    """
+    _check_cap(n, CENSUS_CAP, "census")
+    if n == 0:
+        raise ValueError("census needs n >= 1")
+    return _census(n)  # not a generator itself: n is checked at call time
 
 
-def _census_row(p: Partition) -> CensusRow:
-    """The census row of p, counted from the walk's nodes: no complement is built.
+def _census(n: int) -> Iterator[tuple[Partition, int, int]]:
+    """The census counted from the walk's nodes: no complement is built.
 
     A node with k open blocks finishes a complement with k blocks per index
     below k, and one with k + 1 blocks if k is listed.  No complement has
     more than n - m + 1 blocks (joining p's m blocks takes at least m - 1
     merges), so when k is the target every index counts.
     """
-    target = p.n - p.block_count + 1
-    total = count_nm1 = 0
-    for qmask, idx in _frontier(p):
-        total += len(idx)
-        k = len(qmask)
-        if k == target:
-            count_nm1 += len(idx)
-        elif k + 1 == target and idx[-1] == k:
-            count_nm1 += 1
-    return CensusRow(
-        partition=p.format(),
-        m=p.block_count,
-        block_sizes=p.block_sizes,
-        total=total,
-        count_nm1=count_nm1,
-        grieser=grieser_count(p),
-    )
-
-
-def complement_census(n: int) -> list[CensusRow]:
-    """One row per partition of Pi_n, in RGS order.
-
-    Bottom and top rows are kept (each has the single complement top resp.
-    bottom).  n = 0 is rejected: the empty partition is its own complement
-    but has no block to count, so the n - m + 1 column is meaningless.
-    """
-    _check_cap(n, CENSUS_CAP, "census")
-    if n == 0:
-        raise ValueError("census needs n >= 1")
-    return [_census_row(p) for p in iter_partitions(n)]
+    for p in iter_partitions(n):
+        target = n - p.block_count + 1
+        total = count_nm1 = 0
+        for qmask, idx in _frontier(p):
+            total += len(idx)
+            k = len(qmask)
+            if k == target:
+                count_nm1 += len(idx)
+            elif k + 1 == target and idx[-1] == k:
+                count_nm1 += 1
+        yield p, total, count_nm1
 
 
 def relative_complement_in(b: Partition, a: Partition, c: Partition) -> Partition | None:

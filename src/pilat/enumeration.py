@@ -20,7 +20,7 @@ from typing import Iterator
 from .partitions import Partition, _check_cap, _check_size, _trusted, bottom
 
 ENUM_CAP = 12
-COUNT_CAP = 26  # bell(26) still fits in 64 bits
+COUNT_CAP = 26
 
 
 def iter_partitions(n: int) -> Iterator[Partition]:

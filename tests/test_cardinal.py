@@ -208,6 +208,22 @@ def test_constructors_take_integers_only(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ContinuumModel(gch="no"),
+    lambda: ContinuumModel(gch=1),
+    lambda: ContinuumModel(gch=None),
+    lambda: PartitionShape(kappa=3, full_blocks=1),
+    lambda: PartitionShape(kappa=aleph(0), full_blocks=True),
+    lambda: PartitionShape(kappa=aleph(0), full_blocks=1.0),
+    lambda: PartitionShape(kappa=aleph(0), full_blocks=1, residue=3),
+    lambda: PartitionShape(kappa=aleph(0), full_blocks=0, residue=ZERO),
+])
+def test_symbolic_constructors_check_types(build):
+    # a wrong type is a TypeError, never read as a neighbouring valid value
+    with pytest.raises(TypeError):
+        build()
+
+
 # ------------------------------------------------------------------ GCH powers
 
 def test_gch_power_table():

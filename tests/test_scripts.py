@@ -24,6 +24,22 @@ def test_script_runs(capsys, name, kwargs):
     assert "MISMATCH" not in capsys.readouterr().out
 
 
+def test_census_sweep_counts(capsys):
+    # n, partitions, complements, max-total, formula-ok; the seconds column varies
+    assert _load("census_sweep").run(max_n=4) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    header, *rows = out.splitlines()
+    assert header.split() == ["n", "partitions", "complements", "max-total",
+                              "formula-ok", "seconds"]
+    assert [row.split()[:-1] for row in rows] == [
+        ["1", "1", "1", "1", "1/1"],
+        ["2", "2", "2", "1", "2/2"],
+        ["3", "5", "8", "2", "5/5"],
+        ["4", "15", "56", "6", "15/15"],
+    ]
+
+
 @pytest.mark.parametrize("env,kwargs,message", [
     ("3", {"max_n": 4}, "census cap 3: n=4 outside 0..3"),
     (None, {"max_n": 10}, "census cap 9: n=10 outside 0..9"),
