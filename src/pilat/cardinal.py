@@ -460,6 +460,8 @@ class PartitionShape:
             raise TypeError(f"full_blocks must be an int, not {type(self.full_blocks).__name__}")
         if self.residue is not None and not isinstance(self.residue, Cardinal):
             raise TypeError(f"residue must be a Cardinal, not {type(self.residue).__name__}")
+        if not isinstance(self.trivial, bool):
+            raise TypeError(f"trivial must be a bool, not {type(self.trivial).__name__}")
         if not self.kappa.is_infinite:
             raise ValueError("shape classification needs an infinite ground set")
         if self.full_blocks not in (0, 1, 2):

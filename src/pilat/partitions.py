@@ -36,7 +36,7 @@ default of an operation it calls, so an inner check never fails.
 from __future__ import annotations
 
 import os
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 DEFAULT_GROUND_CAP = 128
@@ -84,6 +84,12 @@ def _members_mask(members: Iterable[int], n: int) -> int:
             raise ValueError(f"element {e} outside ground set 0..{n - 1}")
         mask |= 1 << e
     return mask
+
+
+@lru_cache(maxsize=32)
+def _bit_table(n: int) -> dict[str, int]:
+    """The decimal text of each element of {0..n-1} mapped to its bit."""
+    return {str(e): 1 << e for e in range(n)}
 
 
 def _low(mask: int) -> int:
@@ -185,8 +191,33 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str, n: int) -> "Partition":
-        """Parse the ``block|block|...`` literal form over {0..n-1}."""
+        """Parse the ``block|block|...`` literal form over {0..n-1}.
+
+        Well-formed text is read with one ``_bit_table(n)`` lookup per token,
+        and anything else (``07``, a duplicate, a size over the cap) takes the
+        ``int()`` and ``from_blocks`` path below, so the accepted inputs and
+        the error messages are exactly that path's.
+        """
         stripped = text.strip()
+        try:
+            fast = stripped and type(n) is int and 0 < n <= ground_cap()
+        except ValueError:  # a malformed PILAT_MAX_N is reported by the path below
+            fast = False
+        if fast:
+            bits = _bit_table(n).__getitem__
+            masks = []
+            count = 0
+            try:
+                for part in stripped.split("|"):
+                    ids = part.split()
+                    count += len(ids)
+                    masks.append(sum(map(bits, ids)))
+            except KeyError:
+                count = -1
+            # n tokens whose bits sum to the full mask have no duplicate: a
+            # repeated bit would carry, leaving fewer than n bits set
+            if count == n and all(masks) and sum(masks) == (1 << n) - 1:
+                return _trusted(n, sorted(masks, key=_low))
         if stripped == "":
             if n == 0:
                 return cls(0, ())

@@ -224,6 +224,13 @@ def test_symbolic_constructors_check_types(build):
         build()
 
 
+@pytest.mark.parametrize("trivial", ["no", 1, 0, None])
+def test_shape_trivial_must_be_a_bool(trivial):
+    # read by truth value, "no" would make a trivial shape with one complement
+    with pytest.raises(TypeError, match="trivial must be a bool"):
+        PartitionShape(kappa=aleph(0), full_blocks=0, trivial=trivial)
+
+
 # ------------------------------------------------------------------ GCH powers
 
 def test_gch_power_table():

@@ -110,6 +110,24 @@ def test_verify_unsaturated_chain_exit_zero(capsys, tmp_path):
     assert "witness" in out
 
 
+def test_chain_file_tokens_are_read_as_integers(capsys, tmp_path):
+    # "07"-style, signed and shuffled tokens miss the parse table and take
+    # the int() path; the report and the Hasse diagram are the canonical ones
+    chain = [p.blocks for p in keyframe_chain(3)]
+    canonical = tmp_path / "canonical.txt"
+    canonical.write_text("".join("|".join(" ".join(map(str, b)) for b in bs) + "\n"
+                                 for bs in chain))
+    padded = tmp_path / "padded.txt"
+    padded.write_text("".join(" | ".join(" ".join(f"+{e}" if e % 3 else f"0{e}"
+                                                 for e in reversed(b))
+                                        for b in reversed(bs)) + " \n"
+                              for bs in chain))
+    for argv in (("chains", "verify"), ("hasse", "--chain")):
+        expected = run(capsys, *argv, str(canonical))
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, *argv, str(padded)) == expected
+
+
 def test_verify_missing_file(capsys):
     rc, out, err = run(capsys, "chains", "verify", "/nonexistent/chain.txt")
     assert rc == 2

@@ -1,10 +1,12 @@
 """Complement testing, enumeration against a brute-force oracle, the product
 formula, and the two explicit complement constructions."""
 import math
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilat import (
     Partition,
@@ -341,6 +343,29 @@ def test_census_matches_product_formula():
         rows = list(complement_census(n))
         assert [p for p, _, _ in rows] == list(iter_partitions(n))
         assert all(count_nm1 == grieser_count(p) for p, _, count_nm1 in rows)
+
+
+@lru_cache(maxsize=None)
+def _census_counts(n):
+    return {p: (total, count_nm1) for p, total, count_nm1 in complement_census(n)}
+
+
+def _relabel(p, sigma):
+    return Partition.from_blocks(p.n, [[sigma[e] for e in b] for b in p.blocks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(partitions(n), st.permutations(range(n)))))
+def test_complements_are_invariant_under_relabelling(p_sigma):
+    # renaming the ground set is a lattice automorphism, so the census of a
+    # partition depends only on its block sizes
+    p, sigma = p_sigma
+    q = _relabel(p, sigma)
+    counts = _census_counts(p.n)
+    assert counts[q] == counts[p]
+    assert set(enumerate_complements(q)) == {_relabel(c, sigma)
+                                             for c in enumerate_complements(p)}
 
 
 def test_census_rejects_bad_n():

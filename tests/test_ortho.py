@@ -101,6 +101,29 @@ def test_search_caps():
         search_orthocomplementation(6, exhaustive=True)
 
 
+def _bell_triangle(count):
+    """B(0), ..., B(count - 1) from the Bell triangle, without pilat.bell."""
+    bells, row = [], [1]
+    for _ in range(count):
+        bells.append(row[0])
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return bells
+
+
+def test_bell_parity_certifies_no_orthocomplementation():
+    # for n >= 2, a = a' would give bottom = a & a' = a = a | a' = top, so an
+    # orthocomplementation pairs off Pi_n and B(n) must be even
+    bells = _bell_triangle(31)
+    assert bells[:8] == [1, 1, 2, 5, 15, 52, 203, 877]
+    for n, b in enumerate(bells):
+        assert (b % 2 == 1) == (n % 3 in (0, 1)), n
+    for n in (3, 4):
+        assert search_orthocomplementation(n) is None
+
+
 def test_pruned_search_agrees_with_unpruned():
     for n in range(5):
         fast = search_orthocomplementation(n)

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilat import (
@@ -338,6 +338,82 @@ def test_lattice_laws(pqr):
 def test_extremes_bound_everything(p):
     assert bottom(p.n) <= p <= top(p.n)
     assert meet(p, p) == p == join(p, p)
+
+
+def _reference_parse(text, n):
+    """The int()-and-from_blocks parse, kept as the oracle of the table path."""
+    stripped = text.strip()
+    if stripped == "":
+        if n == 0:
+            return Partition(0, ())
+        raise ValueError("empty literal for non-empty ground set")
+    blocks = []
+    for part in stripped.split("|"):
+        ids = part.split()
+        if not ids:
+            raise ValueError("empty block")
+        try:
+            blocks.append([int(tok) for tok in ids])
+        except ValueError as exc:
+            raise ValueError(f"bad element token in {part!r}") from exc
+    return Partition.from_blocks(n, blocks)
+
+
+_PIECES = [str(i) for i in range(14)] + [" ", " ", "|", "\t", "x", "+", "-", "07", "+3", "\u0663"]
+
+
+@st.composite
+def _literals(draw):
+    """(text, n): noise over the literal alphabet, or a partition's blocks and
+    elements in any order, some of them padded, signed or replaced."""
+    n = draw(st.integers(-1, 12))
+    if n < 1 or draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=30))), n
+    p = draw(partitions(n))
+    blocks = [draw(st.permutations([str(e) for e in b])) for b in p.blocks]
+    blocks = draw(st.permutations(blocks))
+    tokens = [t for b in blocks for t in b]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
+        tokens[i] = draw(st.sampled_from([tokens[j], tokens[j], "0" + tokens[i],
+                                          "+" + tokens[i], "-1", "x", str(n), ""]))
+    it = iter(tokens)
+    text = "|".join(" ".join(next(it) for _ in b) for b in blocks)
+    pad = draw(st.sampled_from(["", " ", "\t", "\n"]))
+    return pad + text + pad, draw(st.sampled_from([n, n, n - 1, n + 1]))
+
+
+def _outcome(parse, text, n):
+    try:
+        p = parse(text, n)
+    except ValueError as exc:
+        return str(exc)
+    return p.n, p.masks
+
+
+@settings(max_examples=300)
+@given(_literals(), st.sampled_from([None, None, "3", "12", "x"]))
+@example(("07 1|2 3 4 5 6 0", 8), None)
+@example(("+3 0|1 2", 4), None)
+@example(("\u0663 0|1 2", 4), None)
+@example(("", 0), None)
+@example(("0", 0), None)
+@example(("0 1|", 2), None)
+@example(("", 200), None)
+@example(("0", 200), None)
+@example(("0 1 2 3", 4), "3")
+@example(("0 1 2", 3), "x")
+@example(("0 x", 2), "x")
+def test_parse_matches_the_reference_parse(literal, cap):
+    # the table path may only be faster: every result and every error
+    # message is that of the int() path, whatever PILAT_MAX_N says
+    text, n = literal
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is None:
+            mp.delenv("PILAT_MAX_N", raising=False)
+        else:
+            mp.setenv("PILAT_MAX_N", cap)
+        assert _outcome(Partition.parse, text, n) == _outcome(_reference_parse, text, n)
 
 
 # ---------------------------------------------------------------------- caps
