@@ -454,6 +454,11 @@ GOLDEN = [
     # recorded before the census counted complements without building them
     (("complements", "census", "--n", "7"),
      "53de7a42e7811d00a30d5bca55dd21de42a83063db1ca1e8ea79d1a70a7f8afb"),
+    # recorded before hasse merged blocks and the walk batched its last element
+    (("hasse", "--n", "6"),
+     "e75722bf992781f64a6012cb1cfef354d08c812e74906c51b4973240f3aab407"),
+    (("enumerate", "--n", "9"),
+     "e50bbb99d7d77c81812c9e727ece5004ff024ece1cbee708d89f53ffd3bb1543"),
 ]
 
 # files named by an "@name" argument above; a repeated line repeats its node
