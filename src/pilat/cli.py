@@ -127,16 +127,35 @@ def _cmd_cardinal(args) -> tuple[int, list[str]]:
 def _hasse_dot(parts: list[Partition]) -> list[str]:
     labels = _format_many(parts)  # by index, so a repeated input line repeats its node
     lines = [HASSE_VERSION, "digraph partitions {", "  rankdir=BT;"]
+    lines += [f'  "{label}";' for label in labels]
     by_count: dict[int, list[int]] = {}
+    by_masks: dict[tuple[int, ...], list[int]] = {}
     for i, p in enumerate(parts):
-        lines.append(f'  "{labels[i]}";')
         by_count.setdefault(p.block_count, []).append(i)
+        by_masks.setdefault(p.masks, []).append(i)
     for i, p in enumerate(parts):
-        # an upper cover is a coarsening with exactly one block fewer: the
-        # bucket settles the rank, so only refinement is left to test
-        for k in by_count.get(p.block_count - 1, ()):
-            if p <= parts[k]:
-                lines.append(f'  "{labels[i]}" -> "{labels[k]}";')
+        masks = p.masks
+        k = len(masks)
+        bucket = by_count.get(k - 1)
+        if not bucket:
+            continue
+        # The upper covers of p are p with two blocks merged, so they lie in
+        # the bucket of k - 1 blocks.  When the C(k, 2) merges are at most
+        # the bucket's size, look each merge up by its masks; otherwise (a
+        # chain file: 8 128 merges at k = 128 against one candidate) test
+        # refinement against each member of the bucket.
+        if k * (k - 1) // 2 <= len(bucket):
+            targets = []
+            for b in range(1, k):
+                for a in range(b):
+                    m = list(masks)
+                    m[a] |= m.pop(b)  # as merge_blocks: the result stays canonical
+                    targets += by_masks.get(tuple(m), ())
+            targets.sort()  # ascending index, the scan's order
+        else:
+            targets = [t for t in bucket if p <= parts[t]]
+        source = labels[i]
+        lines += [f'  "{source}" -> "{labels[t]}";' for t in targets]
     lines.append("}")
     return lines
 

@@ -11,6 +11,11 @@ undoing that placement; its state is the label of each placed element and
 the list of open block masks, changed in place.  At a leaf the list is
 copied into a partition.  ``complements._frontier`` and
 ``antichains._incomparable`` prune this same walk.
+
+``iter_partitions`` batches the last level: every placement of element
+n - 1 is a leaf, so one loop puts it into each open block in turn and then
+into a new block, copying out a partition after each, and the walk backs
+up to element n - 2.
 """
 from __future__ import annotations
 
@@ -32,12 +37,23 @@ def iter_partitions(n: int) -> Iterator[Partition]:
 
 def _rgs_partitions(n: int) -> Iterator[Partition]:
     # the walk of the module docstring; j == len(masks) opens a new block
+    if n == 0:
+        yield _trusted(0, ())
+        return
+    last = 1 << (n - 1)
     label = [0] * n         # label[e]: the block of e on the current path
     masks: list[int] = []   # the open blocks, changed in place
     e, j = 0, 0             # place element e into block j next
     while True:
-        if e == n:
-            yield _trusted(n, masks)  # copies masks into a tuple
+        if e == n - 1:
+            # the batched last level: each placement of element n - 1 is a leaf
+            for j in range(len(masks)):
+                masks[j] |= last
+                yield _trusted(n, masks)  # copies masks into a tuple
+                masks[j] ^= last
+            masks.append(last)
+            yield _trusted(n, masks)
+            masks.pop()
         elif j <= len(masks):
             if j == len(masks):
                 masks.append(0)

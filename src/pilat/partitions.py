@@ -358,22 +358,25 @@ def _trusted(n: int, masks: Iterable[int]) -> Partition:
     return p
 
 
+class _BlockTexts(dict):
+    """Block mask -> its text, built by ``__missing__`` on the first lookup."""
+
+    def __missing__(self, mask: int) -> str:
+        self[mask] = text = " ".join(map(str, _mask_elements(mask)))
+        return text
+
+
 def _format_many(parts: Iterable[Partition]) -> list[str]:
     """The text form of each partition, in order.
 
-    Bulk output formats each distinct block once per call: the text of a
-    block is kept by mask in a dict that lives only for this call (a memo
+    Each line is one ``"|".join`` over the partition's block texts.  Bulk
+    output formats each distinct block once per call: the text of a block is
+    kept by mask in a ``_BlockTexts`` that lives only for this call (a memo
     across calls would grow without bound under a ground cap of 128), so
     listing the 115 975 partitions of Pi_10 builds 1023 block texts.
     """
-    text: dict[int, str] = {}
-    out = []
-    for p in parts:
-        for m in p.masks:
-            if m not in text:
-                text[m] = " ".join(map(str, _mask_elements(m)))
-        out.append("|".join([text[m] for m in p.masks]))
-    return out
+    text = _BlockTexts().__getitem__
+    return ["|".join(map(text, p.masks)) for p in parts]
 
 
 def _with_singletons(n: int, masks: list[int]) -> Partition:

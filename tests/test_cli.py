@@ -337,7 +337,7 @@ def _hasse_all_pairs(parts):
 
 
 def test_hasse_matches_all_pairs_scan(capsys, tmp_path):
-    for n in range(6):
+    for n in range(7):
         parts = list(iter_partitions(n))
         assert "\n".join([*_hasse_dot(parts), ""]) == _hasse_all_pairs(parts)
     parts = keyframe_chain(3) + [Partition.parse("0 4|1 5|2 6|3 7", 8)]
@@ -360,6 +360,55 @@ def test_hasse_matches_all_pairs_scan(capsys, tmp_path):
     rc, out, _ = run(capsys, "hasse", "--antichain", str(chain_file))
     assert rc == 0 and out == _hasse_all_pairs(rank)
     assert "->" not in out
+
+
+def _count_refinement_tests(monkeypatch) -> list[int]:
+    """Count Partition.__le__ calls from here on; the count is the list's one item."""
+    calls = [0]
+    le = Partition.__le__
+
+    def counted(p, q):
+        calls[0] += 1
+        return le(p, q)
+
+    monkeypatch.setattr(Partition, "__le__", counted)
+    return calls
+
+
+def test_hasse_mixes_block_merges_and_bucket_scans(capsys, tmp_path, monkeypatch):
+    # Pi_5 with a thin 3-block rank: the 4-block lines face C(4, 2) = 6 merges
+    # against 3 candidates and scan them, while bottom (10 merges, 11 candidates),
+    # the 3-block lines (3 merges, 16) and the 2-block lines (1 merge, 1) merge
+    pi5 = list(iter_partitions(5))
+    rank = {k: [p for p in pi5 if p.block_count == k] for k in range(1, 6)}
+    thin = [Partition.parse("0 1 2|3|4", 5), Partition.parse("0|1|2 3 4", 5)]
+    parts = [*rank[5], *rank[4], *thin, *rank[2], *rank[1],
+             rank[4][3], thin[0], rank[2][7]]  # repeated lines
+    random.Random(2).shuffle(parts)
+    path = tmp_path / "mixed.txt"
+    path.write_text("".join(p.format() + "\n" for p in parts))
+    calls = _count_refinement_tests(monkeypatch)
+    rc, out, _ = run(capsys, "hasse", "--antichain", str(path))
+    assert rc == 0 and calls[0] == 11 * 3  # only the 4-block lines scan
+    assert out == _hasse_all_pairs(parts)
+    # the scan keeps covers, one edge per copy of a repeated line, and drops
+    # the rest: "0 3|1|2|4" (listed twice) refines neither 3-block line
+    assert out.count('"0 1|2|3|4" -> ') == 2 and out.count('"0|1|2|3 4" -> ') == 1
+    assert out.count('  "0 3|1|2|4";') == 2 and '"0 3|1|2|4" -> ' not in out
+
+
+def test_hasse_refinement_test_counts(monkeypatch):
+    calls = _count_refinement_tests(monkeypatch)
+    # in Pi_7 each bucket of k - 1 blocks holds at least C(k, 2) partitions
+    _hasse_dot(list(iter_partitions(7)))
+    assert calls[0] == 0
+    # a maximal chain on 128 elements has one line per rank: the 2-block line
+    # merges once, and the lines of 3..128 blocks each test one candidate
+    chain = keyframe_chain(7)
+    random.Random(3).shuffle(chain)
+    dot = _hasse_dot(chain)
+    assert calls[0] == 126
+    assert sum("->" in line for line in dot) == 127
 
 
 def test_hasse_requires_exactly_one_source(capsys):
