@@ -25,7 +25,8 @@ from . import chains as ch
 from . import complements as co
 from . import ortho
 from .enumeration import _atom_coatom_counts, bell, iter_partitions
-from .partitions import Partition, _check_cap, _format_many, effective_cap
+from .partitions import (Partition, _check_cap, _format_many, _LineError, _parse_many,
+                         effective_cap)
 
 HASSE_CAP = 7
 CENSUS_VERSION = "# pilat census v1"
@@ -33,13 +34,18 @@ HASSE_VERSION = "// pilat hasse v1"
 
 
 def _read_partition_file(path: str) -> list[Partition]:
+    """The literal on each non-blank line; n is the first literal's token
+    count.  An error names the file and the 1-based line, blank lines
+    counted."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    lines = [line for line in lines if line.strip()]
-    if not lines:
+        numbered = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
+    if not numbered:
         raise ValueError(f"{path}: no partition literals")
-    n = len(lines[0].replace("|", " ").split())
-    return [Partition.parse(line, n) for line in lines]
+    n = len(numbered[0][1].replace("|", " ").split())
+    try:
+        return _parse_many([line for _, line in numbered], n)
+    except _LineError as exc:
+        raise ValueError(f"{path}:{numbered[exc.index][0]}: {exc}") from exc
 
 
 def _yesno(flag: bool) -> str:

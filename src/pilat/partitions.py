@@ -13,9 +13,10 @@ Conventions used throughout the package:
 
 The text form of a partition lists blocks separated by ``|`` with the ids
 inside a block separated by single spaces, e.g. ``"0 2|1 3"``.  There is one
-formatter, ``_format_many``: bulk output formats a list of partitions in one
-call, which builds the text of each distinct block once per call, and
-``Partition.format`` is that call on one partition.
+formatter, ``_format_many``, and one parser, ``_parse_many``, its mirror:
+each takes a whole list in one call and handles each distinct block once per
+call, and ``Partition.format`` and ``Partition.parse`` are those calls on
+one partition or one literal.
 
 Input is validated once, where it enters the package.  ``Partition(n,
 masks)``, ``Partition.parse``, ``from_blocks``, ``from_labels`` and
@@ -193,45 +194,11 @@ class Partition:
     def parse(cls, text: str, n: int) -> "Partition":
         """Parse the ``block|block|...`` literal form over {0..n-1}.
 
-        Well-formed text is read with one ``_bit_table(n)`` lookup per token,
-        and anything else (``07``, a duplicate, a size over the cap) takes the
-        ``int()`` and ``from_blocks`` path below, so the accepted inputs and
-        the error messages are exactly that path's.
+        This is ``_parse_many`` on one line: its accepted inputs and error
+        messages are those of ``_parse_literal``, the ``int()`` and
+        ``from_blocks`` reading.
         """
-        stripped = text.strip()
-        try:
-            fast = stripped and type(n) is int and 0 < n <= ground_cap()
-        except ValueError:  # a malformed PILAT_MAX_N is reported by the path below
-            fast = False
-        if fast:
-            bits = _bit_table(n).__getitem__
-            masks = []
-            count = 0
-            try:
-                for part in stripped.split("|"):
-                    ids = part.split()
-                    count += len(ids)
-                    masks.append(sum(map(bits, ids)))
-            except KeyError:
-                count = -1
-            # n tokens whose bits sum to the full mask have no duplicate: a
-            # repeated bit would carry, leaving fewer than n bits set
-            if count == n and all(masks) and sum(masks) == (1 << n) - 1:
-                return _trusted(n, sorted(masks, key=_low))
-        if stripped == "":
-            if n == 0:
-                return cls(0, ())
-            raise ValueError("empty literal for non-empty ground set")
-        blocks = []
-        for part in stripped.split("|"):
-            ids = part.split()
-            if not ids:
-                raise ValueError("empty block")
-            try:
-                blocks.append([int(tok) for tok in ids])
-            except ValueError as exc:
-                raise ValueError(f"bad element token in {part!r}") from exc
-        return cls.from_blocks(n, blocks)
+        return _parse_many((text,), n)[0]
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -280,15 +247,28 @@ class Partition:
         if self.n != other.n:
             raise ValueError(f"ground-set mismatch: {self.n} vs {other.n}")
 
+    @cached_property
+    def _mask_set(self) -> frozenset[int]:
+        return frozenset(self.masks)
+
     def __le__(self, other: "Partition") -> bool:
-        """True iff self refines other."""
+        """True iff self refines other.
+
+        A block the two share lies inside itself, so only self's unshared
+        blocks are tested, against other's unshared blocks, which cover the
+        same elements: each must lie inside the one holding its least
+        element.  Each unshared block of either side is visited once.
+        """
         self._check_ground(other)
-        olabels = other.labels
-        omasks = other.masks
-        for m in self.masks:
-            low = (m & -m).bit_length() - 1
-            if m & ~omasks[olabels[low]]:
-                return False
+        lows = {m & -m: m for m in self._mask_set - other._mask_set}
+        spread = sum(lows)  # the least elements of self's unshared blocks
+        for big in other._mask_set - self._mask_set:
+            hit = big & spread
+            while hit:
+                low = hit & -hit
+                if lows[low] & ~big:
+                    return False
+                hit ^= low
         return True
 
     def __lt__(self, other: "Partition") -> bool:
@@ -377,6 +357,96 @@ def _format_many(parts: Iterable[Partition]) -> list[str]:
     """
     text = _BlockTexts().__getitem__
     return ["|".join(map(text, p.masks)) for p in parts]
+
+
+class _BlockMasks(dict):
+    """Block text -> its mask, built by ``__missing__`` on the first lookup.
+
+    A text is stored only when each of its tokens is a key of
+    ``_bit_table(n)`` and no token repeats (a repeat would carry into
+    another bit); any other text raises KeyError and stores nothing.  The
+    empty text maps to 0.  ``low`` maps each stored mask to its lowest bit,
+    the sort key of canonical block order.
+    """
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.bits = _bit_table(n).__getitem__
+        self.low: dict[int, int] = {}
+
+    def __missing__(self, text: str) -> int:
+        ids = text.split()
+        mask = sum(map(self.bits, ids))
+        if mask.bit_count() != len(ids):
+            raise KeyError(text)
+        self[text] = mask
+        self.low[mask] = mask & -mask
+        return mask
+
+
+class _LineError(ValueError):
+    """A literal of a ``_parse_many`` call is malformed; ``index`` is its
+    position in the call's lines, and the message is ``_parse_literal``'s."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _parse_literal(text: str, n: int) -> Partition:
+    """One literal read with ``int()`` and ``from_blocks``: the accepted
+    inputs and error messages of every partition literal."""
+    stripped = text.strip()
+    if stripped == "":
+        if n == 0:
+            return Partition(0, ())
+        raise ValueError("empty literal for non-empty ground set")
+    blocks = []
+    for part in stripped.split("|"):
+        ids = part.split()
+        if not ids:
+            raise ValueError("empty block")
+        try:
+            blocks.append([int(tok) for tok in ids])
+        except ValueError as exc:
+            raise ValueError(f"bad element token in {part!r}") from exc
+    return Partition.from_blocks(n, blocks)
+
+
+def _parse_many(lines: Iterable[str], n: int) -> list[Partition]:
+    """The partition of each ``block|block|...`` literal over {0..n-1}, in order.
+
+    The mirror of ``_format_many``: a ``_BlockMasks`` that lives only for
+    this call reads each distinct block text once, so consecutive lines of
+    a chain file, which share all blocks but one, cost one split and a
+    lookup per block.  A line is accepted there when its block masks are
+    non-zero, their popcounts sum to n and the masks sum to the full mask
+    (a shared bit would carry, leaving fewer than n bits set).  Any other
+    line (``07``, a duplicate, a size over the cap, a malformed
+    PILAT_MAX_N) takes ``_parse_literal``, so results and error messages
+    are exactly its; the first error is raised as a ``_LineError``.
+    """
+    try:
+        fast = type(n) is int and 0 < n <= ground_cap()
+    except ValueError:  # a malformed PILAT_MAX_N is reported by _parse_literal
+        fast = False
+    memo = _BlockMasks(n if fast else 0)  # with no table every token misses
+    mask_of, low = memo.__getitem__, memo.low.__getitem__
+    full = (1 << n) - 1 if fast else 0
+    parts = []
+    for index, text in enumerate(lines):
+        try:
+            masks = list(map(mask_of, text.strip().split("|")))
+        except KeyError:
+            masks = [0]
+        if all(masks) and sum(masks) == full and sum(map(int.bit_count, masks)) == n:
+            parts.append(_trusted(n, sorted(masks, key=low)))
+            continue
+        try:
+            parts.append(_parse_literal(text, n))
+        except ValueError as exc:
+            raise _LineError(index, str(exc)) from exc
+    return parts
 
 
 def _with_singletons(n: int, masks: list[int]) -> Partition:

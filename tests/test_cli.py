@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pilat import Partition, covers, iter_partitions, keyframe_chain
+from pilat import Partition, covers, iter_partitions, keyframe_chain, partitions
 from pilat.cli import HASSE_VERSION, _hasse_dot, main
 
 CENSUS3 = """\
@@ -126,6 +126,21 @@ def test_chain_file_tokens_are_read_as_integers(capsys, tmp_path):
         expected = run(capsys, *argv, str(canonical))
         assert expected[0] == 0 and expected[1]
         assert run(capsys, *argv, str(padded)) == expected
+
+
+@pytest.mark.parametrize("argv", [("chains", "verify"), ("hasse", "--chain"),
+                                  ("hasse", "--antichain")])
+def test_file_errors_name_the_file_and_line(capsys, tmp_path, argv):
+    # line numbers are 1-based in the file and count blank lines
+    for text, line, message in (
+            ("0|1|2\n\n0 0|1 2\n", 3, "duplicate element 0"),
+            ("0|1|2\n  \n0 x|1 2\n0 1 2\n", 3, "bad element token in '0 x'"),
+            ("\n\n0 1|2\n\n0 1 2\n0 1 2 3\n", 6, "element 3 outside ground set 0..2"),
+            ("0 1|1\n", 1, "duplicate element 1")):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        rc, out, err = run(capsys, *argv, str(path))
+        assert (rc, out, err) == (2, "", f"error: {path}:{line}: {message}\n")
 
 
 def test_verify_missing_file(capsys):
@@ -409,6 +424,35 @@ def test_hasse_refinement_test_counts(monkeypatch):
     dot = _hasse_dot(chain)
     assert calls[0] == 126
     assert sum("->" in line for line in dot) == 127
+
+
+def test_chain_file_work_counts(capsys, tmp_path, monkeypatch):
+    # a 128-line chain file is read through the block memo alone, and its
+    # refinement tests read masks only: no labels tuple, no int() fallback
+    counts = {"labels": 0, "fallback": 0}
+    labels, fallback = Partition.labels.func, partitions._parse_literal
+
+    def counted_labels(p):
+        counts["labels"] += 1
+        return labels(p)
+
+    def counted_fallback(text, n):
+        counts["fallback"] += 1
+        return fallback(text, n)
+
+    monkeypatch.setattr(Partition, "labels", property(counted_labels))
+    monkeypatch.setattr(partitions, "_parse_literal", counted_fallback)
+    path = tmp_path / "chain.txt"
+    path.write_text("".join(f"{p}\n" for p in keyframe_chain(7)))
+    for argv in (("chains", "verify"), ("hasse", "--chain")):
+        rc, out, _ = run(capsys, *argv, str(path))
+        assert rc == 0 and out
+    assert counts == {"labels": 0, "fallback": 0}
+    # both counters are live: a padded token falls back, a meet reads labels
+    path.write_text("07 1|2\n")
+    run(capsys, "chains", "verify", str(path))
+    Partition.parse("0|1", 2) & Partition.parse("0 1", 2)
+    assert counts == {"labels": 2, "fallback": 1}
 
 
 def test_hasse_requires_exactly_one_source(capsys):

@@ -39,7 +39,7 @@ from pilat import (
     verify_chain,
 )
 from pilat.cli import _cmd_hasse
-from pilat.partitions import _format_many
+from pilat.partitions import _BlockMasks, _format_many, _LineError, _parse_many
 from strats import partition_pairs, partition_triples, partitions
 
 
@@ -235,6 +235,43 @@ def test_mixed_ground_sets_rejected():
         meet(bottom(3), bottom(4))
 
 
+
+def _reference_leq(p, q):
+    """The labels-based refinement test, kept as the oracle of ``<=``."""
+    if p.n != q.n:
+        raise ValueError(f"ground-set mismatch: {p.n} vs {q.n}")
+    for m in p.masks:
+        if m & ~q.masks[q.labels[(m & -m).bit_length() - 1]]:
+            return False
+    return True
+
+
+@settings(max_examples=300)
+@given(partition_pairs(8))
+def test_leq_matches_the_labels_oracle(pq):
+    # random pairs are mostly unrelated; the meet and join add related ones
+    p, q = pq
+    for a, b in ((p, q), (q, p), (p, p), (p & q, p), (p, p | q), (p | q, p)):
+        assert (a <= b) == _reference_leq(a, b)
+
+
+def test_leq_matches_the_labels_oracle_at_the_ground_cap():
+    rng = random.Random(18)
+    n = 128
+    pairs = [(bottom(n), Partition.from_labels([e // 2 for e in range(n)]))]
+    for _ in range(40):
+        p = Partition.from_labels([rng.randrange(rng.randint(1, n)) for _ in range(n)])
+        q = Partition.from_labels([rng.randrange(rng.randint(1, n)) for _ in range(n)])
+        if p.block_count > 1:
+            i, j = sorted(rng.sample(range(p.block_count), 2))
+            pairs.append((p, p.merge_blocks(i, j)))  # a cover
+        pairs += [(p, q), (p, Partition(n, p.masks)), (p & q, q), (p, p | q)]
+    for p, q in pairs:
+        for a, b in ((p, q), (q, p)):
+            assert (a <= b) == _reference_leq(a, b)
+    assert bottom(n) <= pairs[0][1] and not pairs[0][1] <= bottom(n)
+
+
 # ------------------------------------------------------------------ meet/join
 
 def test_meet_example():
@@ -414,6 +451,98 @@ def test_parse_matches_the_reference_parse(literal, cap):
         else:
             mp.setenv("PILAT_MAX_N", cap)
         assert _outcome(Partition.parse, text, n) == _outcome(_reference_parse, text, n)
+
+
+
+_BAD_TOKENS = ["07", "+3", "\u0663", "-1", "x", ""]
+
+
+@st.composite
+def _literal_files(draw):
+    """(lines, n): a walk through Pi_n whose lines share block texts, written
+    with permuted blocks and elements and padded whitespace, some tokens
+    replaced by a repeat, an out-of-range id or a bad token, and some lines
+    drawn from the literal noise of ``_literals``."""
+    n = draw(st.integers(1, 9))
+    p = draw(partitions(n))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["merge", "merge", "same", "noise", "fresh"]))
+        if kind == "noise":
+            lines.append(draw(_literals())[0])
+            continue
+        if kind == "fresh":
+            p = draw(partitions(n))
+        elif kind == "merge" and p.block_count > 1:
+            i, j = draw(st.lists(st.integers(0, p.block_count - 1), min_size=2,
+                                 max_size=2, unique=True))
+            p = p.merge_blocks(i, j)
+        blocks = [list(map(str, b)) for b in p.blocks]
+        if draw(st.integers(0, 3)) == 0:
+            b = draw(st.integers(0, len(blocks) - 1))
+            t = draw(st.integers(0, len(blocks[b]) - 1))
+            blocks[b][t] = draw(st.sampled_from(_BAD_TOKENS + [str(n), blocks[0][0]]))
+        if draw(st.booleans()):
+            blocks = [draw(st.permutations(b)) for b in draw(st.permutations(blocks))]
+        sep = draw(st.sampled_from([" ", " ", "  ", "\t"]))
+        pad = draw(st.sampled_from(["", "", " ", "\t", "\n"]))
+        lines.append(pad + "|".join(sep.join(b) for b in blocks) + pad)
+    return lines, draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+
+
+def _file_outcome(lines, n):
+    """The reference parse line by line: every partition, or the first bad
+    line's index and message."""
+    out = []
+    for index, text in enumerate(lines):
+        try:
+            p = _reference_parse(text, n)
+        except ValueError as exc:
+            return index, str(exc)
+        out.append((p.n, p.masks))
+    return out
+
+
+def _parse_many_outcome(lines, n):
+    try:
+        parts = _parse_many(lines, n)
+    except _LineError as exc:
+        return exc.index, str(exc)
+    return [(p.n, p.masks) for p in parts]
+
+
+@settings(max_examples=300)
+@given(_literal_files(), st.sampled_from([None, None, "3", "x"]))
+@example((["0 1|2", "0 1 2", "0 1|0"], 3), None)  # a bad line reusing a good block text
+@example((["0 0|0"], 2), None)  # a repeat that carries: 1 + 1 + 1 is the full mask
+@example((["0|1", "0|0|0"], 2), None)  # repeated blocks whose masks sum to the full mask
+@example((["0 1|2", "0 0|0|2"], 3), None)
+@example((["0|1|2", "07|1|2", "0 1|2"], 3), None)
+@example((["0|1 2", "+3 0|1 2"], 4), None)
+@example((["0 1|2 3", "\u0663 0|1 2"], 4), None)
+@example(([" 0  1|2", "1 0 |2", "0 1|\t2"], 3), None)
+@example((["0 1|2 3"], 4), "3")
+@example((["0|1", "0 1"], 2), "x")
+def test_parse_many_matches_the_reference_parse(literal_file, cap):
+    # the block memo may only be faster: every result and every error message
+    # is that of the int() path, line by line, whatever PILAT_MAX_N says
+    lines, n = literal_file
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is None:
+            mp.delenv("PILAT_MAX_N", raising=False)
+        else:
+            mp.setenv("PILAT_MAX_N", cap)
+        assert _parse_many_outcome(lines, n) == _file_outcome(lines, n)
+
+
+def test_block_memo_stores_only_exact_masks():
+    memo = _BlockMasks(4)
+    assert memo[" 2  0"] == 0b101 and memo[""] == 0
+    for text in ("0 0", "1 3 1", "07", "+3", "4", "x 1"):
+        with pytest.raises(KeyError):
+            memo[text]
+    assert dict(memo) == {" 2  0": 0b101, "": 0}
+    assert memo.low == {0b101: 0b1, 0: 0}
 
 
 # ---------------------------------------------------------------------- caps
