@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .enumeration import atoms, coatoms
-from .partitions import Partition, _check_cap, _checked_members, _mask_elements, _trusted
+from .partitions import (Partition, _block_text, _check_cap, _check_size, _checked_members,
+                         _mask_elements, _trusted)
 
 ANTICHAIN_CAP = 10
 
@@ -178,6 +179,22 @@ def bipartition_antichain(n: int) -> list[Partition]:
     if n < 2:
         raise ValueError("need n >= 2")
     return members
+
+
+def _bipartition_lines(n: int) -> Iterator[str]:
+    """The text of each member of ``bipartition_antichain(n)``, in the same
+    order, with the same refusals, made at call time.  Each block occurs in
+    one member only, so each text is built from its mask and not kept."""
+    _check_size(n)  # the ground-cap check comes before the n < 2 test, as in coatoms
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return _two_block_lines(n)
+
+
+def _two_block_lines(n: int) -> Iterator[str]:
+    full = (1 << n) - 1
+    for a in range(1, full, 2):  # a holds 0, so it is the first block
+        yield f"{_block_text(a)}|{_block_text(full ^ a)}"
 
 
 def extend_to_maximal_antichain(members: Iterable[Partition], n: int) -> list[Partition]:

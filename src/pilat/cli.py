@@ -7,30 +7,38 @@ deterministic byte for byte; the PILAT_MAX_N environment variable replaces
 the built-in size caps.
 
 Each ``_cmd_*`` handler returns ``(exit_code, lines)`` and writes nothing.
-``main`` is the one writer: after the handler has returned, it joins the
-lines, each ending in a newline, and writes the text to ``--output`` when
-that option is set, otherwise to stdout.  A handler that raises has written
-nothing, so exit 2 leaves stdout empty and no ``--output`` file is opened.
+``lines`` is any iterable of lines: a list, or an iterator that builds the
+lines as they are written (``enumerate`` and the ``antichains bipartition``
+listing, so that their memory does not grow with the output).  Every check
+that can refuse runs before the handler returns; an iterator it returns
+only produces lines.  ``main`` is the one writer: after the handler has
+returned, it opens ``--output`` when that option is set, otherwise it uses
+stdout, and writes the lines, each ending in a newline, in chunks of
+``_CHUNK`` lines.  A handler that raises has written nothing, so exit 2
+leaves stdout empty and no ``--output`` file is opened.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from typing import Iterable, TextIO
 
 from . import antichains as ac
 from . import cardinal as card
 from . import chains as ch
 from . import complements as co
 from . import ortho
-from .enumeration import _atom_coatom_counts, bell, iter_partitions
+from .enumeration import _atom_coatom_counts, _partition_lines, bell, iter_partitions
 from .partitions import (Partition, _check_cap, _format_many, _LineError, _parse_many,
                          effective_cap)
 
 HASSE_CAP = 7
 CENSUS_VERSION = "# pilat census v1"
 HASSE_VERSION = "// pilat hasse v1"
+_CHUNK = 4096  # lines per write
 
 
 def _read_partition_file(path: str) -> list[Partition]:
@@ -55,12 +63,12 @@ def _yesno(flag: bool) -> str:
 # -- subcommands ------------------------------------------------------------
 
 
-def _cmd_enumerate(args) -> tuple[int, list[str]]:
+def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     if args.counts:
         bell_n = bell(args.n)  # checks the counting cap before 2^(n-1) is built
         atom_count, coatom_count = _atom_coatom_counts(args.n)
         return 0, [f"n={args.n} bell={bell_n} atoms={atom_count} coatoms={coatom_count}"]
-    return 0, _format_many(iter_partitions(args.n))
+    return 0, _partition_lines(args.n)
 
 
 def _cmd_chains(args) -> tuple[int, list[str]]:
@@ -77,7 +85,9 @@ def _cmd_chains(args) -> tuple[int, list[str]]:
     return 0 if report.is_chain else 1, out
 
 
-def _cmd_antichains(args) -> tuple[int, list[str]]:
+def _cmd_antichains(args) -> tuple[int, Iterable[str]]:
+    if args.antichain_kind == "bipartition" and not args.verify:
+        return 0, ac._bipartition_lines(args.n)  # 2^(n-1) - 1 lines, streamed
     members = (ac.doubleton_antichain(args.n) if args.antichain_kind == "doubleton"
                else ac.bipartition_antichain(args.n))
     if not args.verify:
@@ -243,6 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _write_lines(fh: TextIO, lines: Iterable[str]) -> None:
+    """Write each line with a newline after it, ``_CHUNK`` lines per write."""
+    it = iter(lines)
+    while chunk := list(itertools.islice(it, _CHUNK)):
+        chunk.append("")
+        fh.write("\n".join(chunk))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -251,13 +269,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, lines = args.func(args)
-        text = "\n".join([*lines, ""])
         out_path = getattr(args, "output", None)  # not every subcommand has --output
         if out_path is not None:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                _write_lines(fh, lines)
         else:
-            sys.stdout.write(text)
+            _write_lines(sys.stdout, lines)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

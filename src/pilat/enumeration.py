@@ -5,24 +5,32 @@ label vector l with l[0] = 0 and l[i] <= 1 + max(l[:i]).  RGS vectors in
 lexicographic order (Knuth, TAOCP 4A, 7.2.1.5) start at 00...0 (the
 one-block partition, top) and end at 012...(n-1) (all singletons, bottom).
 
-One iterative depth-first walk visits them in that order.  It places
-element e into an open block j, or opens a new block, and backs up by
-undoing that placement; its state is the label of each placed element and
-the list of open block masks, changed in place.  At a leaf the list is
-copied into a partition.  ``complements._frontier`` and
-``antichains._incomparable`` prune this same walk.
+One iterative depth-first walk, ``_rgs_nodes``, visits them in that order.
+It places element e into an open block j, or opens a new block, and backs
+up by undoing that placement; its state is the label of each placed element
+and the list of open block masks, changed in place.  It stops one level
+short of the leaves: once elements 0..n-2 are placed it yields the live
+mask list, and each placement of element n - 1 into an open block or a new
+one is a leaf.  The walk has two consumers:
 
-``iter_partitions`` batches the last level: every placement of element
-n - 1 is a leaf, so one loop puts it into each open block in turn and then
-into a new block, copying out a partition after each, and the walk backs
-up to element n - 2.
+* ``_rgs_partitions`` (behind ``iter_partitions``) puts n - 1 into each
+  open block in turn and then into a new block, copying out a partition
+  after each;
+* ``_rgs_lines`` (behind ``_partition_lines``, the ``enumerate`` listing)
+  builds the same leaves as text and no partition: the open blocks' texts
+  joined by "|" are the line of the new-block leaf without its "|n-1",
+  and the leaf that puts n - 1 into block j inserts " n-1" at the end of
+  block j's text, n - 1 being the largest element.
+
+``complements._frontier`` and ``antichains._incomparable`` are two pruned
+copies of this walk, each with its own per-step state.
 """
 from __future__ import annotations
 
 from math import comb
 from typing import Iterator
 
-from .partitions import Partition, _check_cap, _check_size, _trusted, bottom
+from .partitions import Partition, _BlockTexts, _check_cap, _check_size, _trusted, bottom
 
 ENUM_CAP = 12
 COUNT_CAP = 26
@@ -35,25 +43,25 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     return _rgs_partitions(n)  # not a generator itself: the cap is checked at call time
 
 
-def _rgs_partitions(n: int) -> Iterator[Partition]:
-    # the walk of the module docstring; j == len(masks) opens a new block
-    if n == 0:
-        yield _trusted(0, ())
-        return
-    last = 1 << (n - 1)
+def _partition_lines(n: int) -> Iterator[str]:
+    """The text of each partition that ``iter_partitions(n)`` yields, in the
+    same order, built by the walk's second consumer; n = 0 yields one empty
+    line."""
+    _check_cap(n, ENUM_CAP, "enumeration")
+    return _rgs_lines(n)  # not a generator itself: the cap is checked at call time
+
+
+def _rgs_nodes(n: int) -> Iterator[list[int]]:
+    """The walk of the module docstring, stopped when elements 0..n-2 are
+    placed: it yields the live list of open block masks, which it changes
+    in place on the next step.  j == len(masks) opens a new block.  Needs
+    n >= 1."""
     label = [0] * n         # label[e]: the block of e on the current path
     masks: list[int] = []   # the open blocks, changed in place
     e, j = 0, 0             # place element e into block j next
     while True:
         if e == n - 1:
-            # the batched last level: each placement of element n - 1 is a leaf
-            for j in range(len(masks)):
-                masks[j] |= last
-                yield _trusted(n, masks)  # copies masks into a tuple
-                masks[j] ^= last
-            masks.append(last)
-            yield _trusted(n, masks)
-            masks.pop()
+            yield masks
         elif j <= len(masks):
             if j == len(masks):
                 masks.append(0)
@@ -70,6 +78,39 @@ def _rgs_partitions(n: int) -> Iterator[Partition]:
         if not masks[j]:  # e opened block j, the last one
             masks.pop()
         j += 1
+
+
+def _rgs_partitions(n: int) -> Iterator[Partition]:
+    if n == 0:
+        yield _trusted(0, ())
+        return
+    last = 1 << (n - 1)
+    for masks in _rgs_nodes(n):
+        for j in range(len(masks)):
+            masks[j] |= last
+            yield _trusted(n, masks)  # copies masks into a tuple
+            masks[j] ^= last
+        masks.append(last)
+        yield _trusted(n, masks)
+        masks.pop()
+
+
+def _rgs_lines(n: int) -> Iterator[str]:
+    if n == 0:
+        yield ""
+        return
+    text = _BlockTexts().__getitem__  # blocks of 0..n-2: at most 2^(n-1) texts
+    last = str(n - 1)
+    tail = " " + last
+    for masks in _rgs_nodes(n):
+        texts = list(map(text, masks))
+        full = "|".join(texts)
+        end = 0
+        for t in texts:
+            end += len(t)  # block j's text ends at full[end]
+            yield full[:end] + tail + full[end:]
+            end += 1
+        yield f"{full}|{last}" if masks else last
 
 
 def _stirling_row(n: int) -> list[int]:

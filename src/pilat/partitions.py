@@ -16,7 +16,9 @@ inside a block separated by single spaces, e.g. ``"0 2|1 3"``.  There is one
 formatter, ``_format_many``, and one parser, ``_parse_many``, its mirror:
 each takes a whole list in one call and handles each distinct block once per
 call, and ``Partition.format`` and ``Partition.parse`` are those calls on
-one partition or one literal.
+one partition or one literal.  The two streamed listings build no partition:
+``enumeration._rgs_lines`` and ``antichains._bipartition_lines`` join block
+texts from ``_block_text`` directly, in the same format.
 
 Input is validated once, where it enters the package.  ``Partition(n,
 masks)``, ``Partition.parse``, ``from_blocks``, ``from_labels`` and
@@ -338,11 +340,16 @@ def _trusted(n: int, masks: Iterable[int]) -> Partition:
     return p
 
 
+def _block_text(mask: int) -> str:
+    """The text of one block: its elements in ascending order, space-separated."""
+    return " ".join(map(str, _mask_elements(mask)))
+
+
 class _BlockTexts(dict):
     """Block mask -> its text, built by ``__missing__`` on the first lookup."""
 
     def __missing__(self, mask: int) -> str:
-        self[mask] = text = " ".join(map(str, _mask_elements(mask)))
+        self[mask] = text = _block_text(mask)
         return text
 
 

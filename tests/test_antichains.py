@@ -1,6 +1,7 @@
 """Antichain verification and the two canonical constructions."""
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,8 @@ from pilat import (
     top,
     verify_antichain,
 )
-from pilat.antichains import AntichainReport
+from pilat.antichains import AntichainReport, _bipartition_lines
+from pilat.partitions import _format_many
 
 from strats import partitions
 
@@ -145,6 +147,21 @@ def test_bipartition_antichain_small_n():
     assert bipartition_antichain(2) == [bottom(2)]
     with pytest.raises(ValueError):
         bipartition_antichain(1)
+
+
+def test_bipartition_lines_match_the_formatted_members():
+    for n in range(2, 13):
+        assert list(_bipartition_lines(n)) == _format_many(bipartition_antichain(n))
+
+
+def test_bipartition_lines_refuse_as_the_members_do(monkeypatch):
+    # the same refusals in the same order, made before the first line
+    monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    for n in (1, 0, -1, 129):
+        with pytest.raises(ValueError) as want:
+            bipartition_antichain(n)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            _bipartition_lines(n)
 
 
 def test_constructions_are_maximal_antichains():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pilat import Partition, covers, iter_partitions, keyframe_chain, partitions
-from pilat.cli import HASSE_VERSION, _hasse_dot, main
+from pilat.cli import _CHUNK, HASSE_VERSION, _hasse_dot, _write_lines, main
 
 CENSUS3 = """\
 # pilat census v1
@@ -590,6 +590,7 @@ OUTPUT_ARGV = [
     ("enumerate", "--n", "4", "--counts"),
     ("chains", "keyframe", "--k", "2"),
     ("antichains", "doubleton", "--n", "4"),
+    ("antichains", "bipartition", "--n", "4"),
     ("antichains", "bipartition", "--n", "4", "--verify"),
     ("complements", "census", "--n", "3"),
     ("hasse", "--n", "3"),
@@ -617,6 +618,83 @@ def test_output_file_untouched_on_exit_2(capsys, tmp_path, argv):
     rc, out, _ = run(capsys, *argv, "--output", str(target))
     assert rc == 2 and out == ""
     assert target.read_bytes() == b"kept\n"
+
+
+# The listings main writes as they are built; each refuses before its first line.
+STREAMED_REFUSALS = [
+    ((), ("enumerate", "--n", "13")),
+    (("PILAT_MAX_N", "3"), ("enumerate", "--n", "4")),
+    ((), ("antichains", "bipartition", "--n", "1")),
+    ((), ("antichains", "bipartition", "--n", "129")),
+]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "--output"])
+@pytest.mark.parametrize("env,argv", STREAMED_REFUSALS,
+                         ids=[" ".join(["=".join(e), *a]).strip() for e, a in STREAMED_REFUSALS])
+def test_streamed_listing_refusal_writes_nothing(capsys, monkeypatch, tmp_path, env, argv,
+                                                 to_file):
+    monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    if env:
+        monkeypatch.setenv(*env)
+    target = tmp_path / "out.txt"
+    rc, out, err = run(capsys, *argv, *(("--output", str(target)) if to_file else ()))
+    assert rc == 2 and out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
+class _Writes(list):
+    """A text sink that keeps each ``write`` call's text."""
+    write = list.append
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_writer_chunks(count):
+    lines = [f"line {i}" for i in range(count)]
+    writes = _Writes()
+    _write_lines(writes, iter(lines))  # any iterable, read once
+    assert "".join(writes) == "\n".join([*lines, ""])
+    assert len(writes) == -(-count // _CHUNK)
+    assert all(text.count("\n") <= _CHUNK for text in writes)
+
+
+# Runs in a fresh isolated interpreter, started by a small launcher: on Linux
+# a process keeps across exec the high-water RSS of the process it was forked
+# from, so a child started from the test runner itself would report at least
+# the runner's peak as its ru_maxrss.
+LISTING_PROBE = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from pilat.cli import main
+rc = main(sys.argv[2:])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(rc, peak / (1 << 20 if sys.platform == "darwin" else 1 << 10))
+"""
+LAUNCHER = """
+import subprocess, sys
+sys.exit(subprocess.run([sys.executable, "-I", "-c", *sys.argv[1:]]).returncode)
+"""
+
+
+def test_enumerate_streams_in_bounded_memory(tmp_path):
+    # Pi_11: 678 570 lines; streamed, about 17 MB; built whole before writing, 102.5 MB
+    target = tmp_path / "pi11.txt"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", LAUNCHER, LISTING_PROBE, src,
+                           "enumerate", "--n", "11", "--output", str(target)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rc, peak_mb = proc.stdout.split()
+    assert rc == "0" and float(peak_mb) < 48
+    count = first = last = None
+    with open(target, encoding="utf-8", newline="") as fh:
+        for count, line in enumerate(fh, 1):
+            if count == 1:
+                first = line
+            last = line
+    assert count == 678570
+    assert first == " ".join(map(str, range(11))) + "\n"
+    assert last == "|".join(map(str, range(11))) + "\n"
 
 
 @pytest.mark.parametrize("argv", [("hasse", "--chain", ""), ("hasse", "--antichain", ""),

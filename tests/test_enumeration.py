@@ -15,6 +15,8 @@ from pilat import (
     stirling2,
     top,
 )
+from pilat.enumeration import _partition_lines
+from pilat.partitions import _format_many
 
 # Bell numbers B_0..B_12, frozen from the usual triangle recurrence.
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
@@ -62,6 +64,15 @@ def test_enumeration_matches_algorithm_h():
     for n in range(11):
         got = ((p.n, p.masks) for p in iter_partitions(n))
         assert all(a == b for a, b in itertools.zip_longest(got, _algorithm_h(n)))
+
+
+def test_partition_lines_match_the_formatted_partitions():
+    # the two consumers of the one walk: text built per node against the
+    # partitions, formatted; Algorithm H pins the order of the latter
+    for n in range(10):
+        assert list(_partition_lines(n)) == _format_many(iter_partitions(n))
+    assert list(_partition_lines(0)) == [""]
+    assert list(_partition_lines(1)) == ["0"]
 
 
 def test_enumeration_order_n3():

@@ -38,7 +38,9 @@ from pilat import (
     verify_antichain,
     verify_chain,
 )
+from pilat.antichains import _bipartition_lines
 from pilat.cli import _cmd_hasse
+from pilat.enumeration import _partition_lines
 from pilat.partitions import _BlockMasks, _format_many, _LineError, _parse_many
 from strats import partition_pairs, partition_triples, partitions
 
@@ -576,6 +578,9 @@ SIZED = {
     "bipartition_antichain": bipartition_antichain,
     "non_ortho_witness": non_ortho_witness,
     "iter_partitions": lambda n: list(iter_partitions(n)),
+    # the streamed listings refuse at call time, before their first line
+    "_partition_lines": _partition_lines,
+    "_bipartition_lines": _bipartition_lines,
     "stirling2": lambda n: stirling2(n, 0),
     "bell": bell,
     "enumerate_maximal_chains": enumerate_maximal_chains,
