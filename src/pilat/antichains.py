@@ -8,8 +8,7 @@ of Pi_n, with the members as the bits of two integers (see
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import atoms, coatoms
 from .partitions import (Partition, _block_text, _check_cap, _check_size, _checked_members,
@@ -18,8 +17,7 @@ from .partitions import (Partition, _block_text, _check_cap, _check_size, _check
 ANTICHAIN_CAP = 10
 
 
-@dataclass(frozen=True)
-class AntichainReport:
+class AntichainReport(NamedTuple):
     is_antichain: bool
     is_maximal: bool | None
     witness: object = None

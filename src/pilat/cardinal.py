@@ -15,8 +15,7 @@ Text forms, shared with the CLI: ordinals use ``w`` for omega, as in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 def _is_int(x: object) -> bool:
@@ -267,8 +266,7 @@ def aleph(index: Ordinal | int) -> Cardinal:
 ALEPH0 = aleph(0)
 
 
-@dataclass(frozen=True)
-class CardinalInterval:
+class CardinalInterval(NamedTuple):
     """All the model says: the value lies in [lo, hi] (hi None = no bound)."""
 
     lo: Cardinal
@@ -437,7 +435,6 @@ def card_tarski_product(index_count: Cardinal, term_sup: Cardinal,
     return card_pow(term_sup, index_count, model)
 
 
-@dataclass(frozen=True)
 class PartitionShape:
     """What the complement count of a partition of an infinite set sees.
 
@@ -448,31 +445,51 @@ class PartitionShape:
     of each other and of nothing else.
     """
 
-    kappa: Cardinal
-    full_blocks: int
-    residue: Cardinal | None = None
-    trivial: bool = False
+    __slots__ = ("kappa", "full_blocks", "residue", "trivial")
 
-    def __post_init__(self):
-        if not isinstance(self.kappa, Cardinal):
-            raise TypeError(f"kappa must be a Cardinal, not {type(self.kappa).__name__}")
-        if not _is_int(self.full_blocks):
-            raise TypeError(f"full_blocks must be an int, not {type(self.full_blocks).__name__}")
-        if self.residue is not None and not isinstance(self.residue, Cardinal):
-            raise TypeError(f"residue must be a Cardinal, not {type(self.residue).__name__}")
-        if not isinstance(self.trivial, bool):
-            raise TypeError(f"trivial must be a bool, not {type(self.trivial).__name__}")
-        if not self.kappa.is_infinite:
+    def __init__(self, kappa: Cardinal, full_blocks: int, residue: Cardinal | None = None,
+                 trivial: bool = False):
+        if not isinstance(kappa, Cardinal):
+            raise TypeError(f"kappa must be a Cardinal, not {type(kappa).__name__}")
+        if not _is_int(full_blocks):
+            raise TypeError(f"full_blocks must be an int, not {type(full_blocks).__name__}")
+        if residue is not None and not isinstance(residue, Cardinal):
+            raise TypeError(f"residue must be a Cardinal, not {type(residue).__name__}")
+        if not isinstance(trivial, bool):
+            raise TypeError(f"trivial must be a bool, not {type(trivial).__name__}")
+        if not kappa.is_infinite:
             raise ValueError("shape classification needs an infinite ground set")
-        if self.full_blocks not in (0, 1, 2):
+        if full_blocks not in (0, 1, 2):
             raise ValueError("full_blocks must be 0, 1 or 2 (2 = two or more)")
-        if self.trivial:
-            return
-        if self.full_blocks == 1:
-            if self.residue is None:
+        if not trivial and full_blocks == 1:
+            if residue is None:
                 raise ValueError("one full block needs the residue cardinal")
-            if self.residue > self.kappa:
+            if residue > kappa:
                 raise ValueError("residue cannot exceed the ground set")
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "full_blocks", full_blocks)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "trivial", trivial)
+
+    def __setattr__(self, *_):
+        raise AttributeError("PartitionShape is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return (self.kappa, self.full_blocks, self.residue, self.trivial)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(kappa={self.kappa!r}, full_blocks={self.full_blocks!r}, "
+                f"residue={self.residue!r}, trivial={self.trivial!r})")
 
 
 def complement_count_symbolic(shape: PartitionShape, model: ContinuumModel = GCH):
@@ -492,8 +509,7 @@ def complement_count_symbolic(shape: PartitionShape, model: ContinuumModel = GCH
     return power_of_two(shape.kappa, model)
 
 
-@dataclass(frozen=True)
-class ChainBounds:
+class ChainBounds(NamedTuple):
     """Cardinality facts about maximal chains in the lattice on kappa.
 
     Well-ordered maximal chains exist exactly in sizes cf(kappa) through

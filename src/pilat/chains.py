@@ -9,8 +9,7 @@ inserted anywhere".  Every maximal chain of Pi_n has exactly n elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import (Partition, _check_cap, _checked_members, _members_mask, _trusted,
                          _with_singletons, bottom, covers, ground_cap, top)
@@ -18,8 +17,7 @@ from .partitions import (Partition, _check_cap, _checked_members, _members_mask,
 MAXCHAIN_CAP = 6
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     is_chain: bool
     is_saturated: bool
     is_maximal: bool
@@ -134,7 +132,6 @@ def lift_subset_chain(sets: Sequence[Iterable[int]], n: int) -> list[Partition]:
     return [_with_singletons(n, [m]) for m in masks]
 
 
-@dataclass(frozen=True)
 class KeyframePlan:
     """Dyadic splitting plan on n = 2^k elements.
 
@@ -146,12 +143,29 @@ class KeyframePlan:
     2^k within the ground cap.
     """
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self):
+    def __init__(self, k: int):
         cap = ground_cap()
-        if not 0 <= self.k < cap.bit_length():  # 0 <= k and 2^k <= cap
-            raise ValueError(f"k={self.k} needs 2^k elements within the ground cap {cap}")
+        if not 0 <= k < cap.bit_length():  # 0 <= k and 2^k <= cap
+            raise ValueError(f"k={k} needs 2^k elements within the ground cap {cap}")
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, *_):
+        raise AttributeError("KeyframePlan is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.k,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(k={self.k!r})"
 
     @property
     def n(self) -> int:

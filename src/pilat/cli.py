@@ -125,14 +125,16 @@ def _cmd_ortho(args) -> tuple[int, list[str]]:
 
 
 def _load_model(source: str) -> card.ContinuumModel:
+    """GCH, or the model in a JSON file; an error in the file names it."""
     if source == "gch":
         return card.GCH
     with open(source, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return card.ContinuumModel.from_json(json.load(fh))
         except RecursionError:
             raise ValueError(f"{source}: JSON nested too deeply") from None
-    return card.ContinuumModel.from_json(data)
+        except ValueError as exc:  # bad UTF-8, bad JSON or an invalid model
+            raise ValueError(f"{source}: {exc}") from exc
 
 
 def _cmd_cardinal(args) -> tuple[int, list[str]]:

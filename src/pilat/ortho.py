@@ -19,9 +19,8 @@ witness is offered from n = 5 by choice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .complements import enumerate_complements
 from .enumeration import _atom_coatom_counts, iter_partitions
@@ -32,8 +31,7 @@ SEARCH_CAP = 4
 SEARCH_CAP_EXHAUSTIVE = 5
 
 
-@dataclass(frozen=True)
-class OrthoReport:
+class OrthoReport(NamedTuple):
     ok: bool
     violated_axiom: str | None = None  # "i", "ii", "iii" or "iv"
     witness: object = None
@@ -143,8 +141,7 @@ def brute_search_orthocomplementation(n: int) -> dict[Partition, Partition] | No
     return _search(n, pruned=False)
 
 
-@dataclass(frozen=True)
-class NonOrthoWitness:
+class NonOrthoWitness(NamedTuple):
     n: int
     atom_count: int
     coatom_count: int

@@ -277,8 +277,17 @@ def test_cardinal_eval_bad_inputs(capsys, tmp_path):
     assert rc == 2
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    rc, _, err = run(capsys, "cardinal", "eval", "fin(1)", "--model", str(broken))
-    assert rc == 2
+    rc, out, err = run(capsys, "cardinal", "eval", "fin(1)", "--model", str(broken))
+    assert rc == 2 and out == ""
+    assert err == (f"error: {broken}: Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)\n")
+    # a well-formed file that is not a model names the file too
+    for text, message in (('{"continum": {}}', "unknown model key 'continum'"),
+                          ('{"continuum": {"0": "3", "1": "2"}}', "assignment is not monotone"),
+                          ('{"continuum": {"w^": "1"}}', "expected an ordinal, got None")):
+        broken.write_text(text)
+        rc, out, err = run(capsys, "cardinal", "eval", "fin(1)", "--model", str(broken))
+        assert (rc, out, err) == (2, "", f"error: {broken}: {message}\n")
 
 
 def _nested_ordinal(depth):
@@ -794,3 +803,6 @@ def test_runtime_loads_only_the_standard_library(tmp_path):
                and m.partition(".")[0] != "pilat"]
     assert foreign == []
     assert not [m for m in loaded if m.partition(".")[0] == "multiprocessing"]
+    # records are NamedTuples and __slots__ classes: dataclasses would also
+    # load inspect (with ast, dis and tokenize), about half the import time
+    assert "dataclasses" not in loaded and "inspect" not in loaded
