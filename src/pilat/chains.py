@@ -5,14 +5,27 @@ A chain is saturated when every consecutive pair is a covering pair, and
 maximal when in addition it runs from bottom to top; in a finite lattice
 those two conditions together are equivalent to "no partition can be
 inserted anywhere".  Every maximal chain of Pi_n has exactly n elements.
+
+A chain file (``chains verify FILE``) is read by ``_verify_lines`` as the
+differences between consecutive lines.  Each line is split once into block
+texts and kept as a set of strings; only the texts that differ from the
+previous line are mapped to masks, through one ``_BlockMasks`` memo, and the
+new masks must tile exactly the elements of the dropped ones.  Whether a
+pair is strictly increasing is read off its unshared masks alone, and the
+verdict off those answers and each line's block count: ``verify_chain`` and
+the reader share ``_verdict``, the one order of the checks.  A line the
+reader cannot accept (a padded token such as ``07``, a repeated block, any
+error) sends the whole file to the full parse and ``verify_chain``, which
+reports exactly as a file of partitions is reported everywhere else.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .partitions import (Partition, _check_cap, _checked_members, _members_mask, _trusted,
-                         _with_singletons, bottom, covers, ground_cap, top)
+from .partitions import (Partition, _BlockMasks, _check_cap, _checked_members, _members_mask,
+                         _parse_many, _refines, _tiles, _trusted, _with_singletons, bottom,
+                         covers, ground_cap, top)
 
 MAXCHAIN_CAP = 6
 
@@ -46,26 +59,75 @@ def _step_between(lo: Partition, hi: Partition) -> Partition:
     return lo.merge_blocks(*min((first[g], second[g]) for g in second))
 
 
+def _verdict(n: int, increasing: Iterable[bool], counts: Sequence[int],
+             step: Callable[[int], Partition]) -> ChainReport:
+    """The report on a sequence of partitions of {0..n-1}.
+
+    ``increasing`` says, pair by pair, whether member i is strictly below
+    member i + 1, ``counts`` holds each member's block count, and
+    ``step(i)`` is the witness of a gap at pair i.  The checks run in one
+    order: the first pair not strictly increasing, then the first gap, then
+    bottom, then top.
+    """
+    for i, ok in enumerate(increasing):
+        if not ok:
+            return ChainReport(False, False, False, witness=(i, i + 1))
+    # each pair is now known to be strictly increasing, so it is a covering
+    # pair exactly when it loses one block (see ``covers``)
+    for i in range(len(counts) - 1):
+        if counts[i] != counts[i + 1] + 1:
+            return ChainReport(True, False, False, witness=step(i))
+    if counts[0] != n:  # only bottom has n blocks
+        return ChainReport(True, True, False, witness=bottom(n))
+    if counts[-1] > 1:  # only top has at most one
+        return ChainReport(True, True, False, witness=top(n))
+    return ChainReport(True, True, True)
+
+
 def verify_chain(chain: Sequence[Partition]) -> ChainReport:
     """Classify a sequence as chain / saturated / maximal, with a witness."""
     if not chain:
         raise ValueError("empty sequence")
     n = getattr(chain[0], "n", None)  # a first member that is no Partition fails the check
     chain = _checked_members(chain, n)
-    for i in range(len(chain) - 1):
-        if not chain[i] < chain[i + 1]:
-            return ChainReport(False, False, False, witness=(i, i + 1))
-    # each pair is now known to satisfy chain[i] < chain[i + 1], so it is a
-    # covering pair exactly when it loses one block (see ``covers``)
-    for i in range(len(chain) - 1):
-        if chain[i].block_count != chain[i + 1].block_count + 1:
-            return ChainReport(True, False, False,
-                               witness=_step_between(chain[i], chain[i + 1]))
-    if chain[0] != bottom(n):
-        return ChainReport(True, True, False, witness=bottom(n))
-    if chain[-1] != top(n):
-        return ChainReport(True, True, False, witness=top(n))
-    return ChainReport(True, True, True)
+    return _verdict(n, (lo < hi for lo, hi in zip(chain, chain[1:])),
+                    [p.block_count for p in chain],
+                    lambda i: _step_between(chain[i], chain[i + 1]))
+
+
+def _verify_lines(lines: Sequence[str], n: int) -> ChainReport | None:
+    """The report on the literals ``lines`` over {0..n-1}, read as the
+    differences between consecutive lines, or None when a line needs the
+    full parse (see the module docstring).
+
+    A line is accepted when its block texts are distinct and the masks of
+    the texts it adds tile the elements of the texts it drops; the first
+    line is tested against one block holding every element, which is
+    ``_parse_many``'s test.  A mask both dropped and added under different
+    texts is a shared block.  Only the first gap's two lines are parsed.
+    """
+    memo = _BlockMasks(n)
+    mask_of = memo.__getitem__
+    before: set[str] = set()
+    increasing: list[bool] = []
+    counts: list[int] = []
+    for line in lines:
+        texts = line.strip().split("|")
+        now = set(texts)
+        try:
+            gone = list(map(mask_of, before - now)) if counts else [memo.full]
+            new = list(map(mask_of, now - before))
+        except KeyError:
+            return None
+        if len(now) != len(texts) or not _tiles(new, sum(gone)):
+            return None
+        if counts:
+            lo, hi = set(gone), set(new)
+            increasing.append(lo != hi and _refines(lo - hi, hi - lo))
+        counts.append(len(texts))
+        before = now
+    return _verdict(n, increasing, counts,
+                    lambda i: _step_between(*_parse_many(lines[i:i + 2], n)))
 
 
 def extend_to_maximal(chain: Sequence[Partition]) -> list[Partition]:

@@ -16,6 +16,15 @@ returned, it opens ``--output`` when that option is set, otherwise it uses
 stdout, and writes the lines, each ending in a newline, in chunks of
 ``_CHUNK`` lines.  A handler that raises has written nothing, so exit 2
 leaves stdout empty and no ``--output`` file is opened.
+
+A partition file (``chains verify FILE``, ``hasse --chain``/``--antichain``)
+holds one literal per non-blank line over {0..n-1}, where n is the first
+literal's token count; an error names the file, and a bad literal also its
+1-based line, blank lines counted.  ``hasse`` parses every line.
+``chains verify`` reads the lines as differences between consecutive
+lines (``chains._verify_lines``) and falls back to the full parse and
+``verify_chain`` for any line that reading cannot accept, so its errors
+are those of the full parse.
 """
 from __future__ import annotations
 
@@ -41,19 +50,31 @@ HASSE_VERSION = "// pilat hasse v1"
 _CHUNK = 4096  # lines per write
 
 
-def _read_partition_file(path: str) -> list[Partition]:
-    """The literal on each non-blank line; n is the first literal's token
-    count.  An error names the file and the 1-based line, blank lines
-    counted."""
-    with open(path, encoding="utf-8") as fh:
-        numbered = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
+def _file_literals(path: str) -> tuple[list[tuple[int, str]], int]:
+    """The non-blank lines of a partition file, each with its 1-based
+    number (blank lines counted), and n: the first literal's token count.
+    An error names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            numbered = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not numbered:
         raise ValueError(f"{path}: no partition literals")
-    n = len(numbered[0][1].replace("|", " ").split())
+    return numbered, len(numbered[0][1].replace("|", " ").split())
+
+
+def _parse_file_literals(path: str, numbered: list[tuple[int, str]], n: int) -> list[Partition]:
+    """The partition on each numbered line; an error names the file and the line."""
     try:
         return _parse_many([line for _, line in numbered], n)
     except _LineError as exc:
         raise ValueError(f"{path}:{numbered[exc.index][0]}: {exc}") from exc
+
+
+def _read_partition_file(path: str) -> list[Partition]:
+    """The literal on each non-blank line of a partition file."""
+    return _parse_file_literals(path, *_file_literals(path))
 
 
 def _yesno(flag: bool) -> str:
@@ -74,9 +95,12 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
 def _cmd_chains(args) -> tuple[int, list[str]]:
     if args.chains_cmd == "keyframe":
         return 0, _format_many(ch.keyframe_chain(args.k))
-    # verify
-    chain = _read_partition_file(args.file)
-    report = ch.verify_chain(chain)
+    # verify: the file is read as the differences between consecutive lines,
+    # and any line that reading cannot accept sends it to the full parse
+    numbered, n = _file_literals(args.file)
+    report = ch._verify_lines([line for _, line in numbered], n)
+    if report is None:
+        report = ch.verify_chain(_parse_file_literals(args.file, numbered, n))
     out = [f"chain: {_yesno(report.is_chain)}",
            f"saturated: {_yesno(report.is_saturated)}",
            f"maximal: {_yesno(report.is_maximal)}"]

@@ -257,21 +257,11 @@ class Partition:
         """True iff self refines other.
 
         A block the two share lies inside itself, so only self's unshared
-        blocks are tested, against other's unshared blocks, which cover the
-        same elements: each must lie inside the one holding its least
-        element.  Each unshared block of either side is visited once.
+        blocks are tested, against other's (see ``_refines``).
         """
         self._check_ground(other)
-        lows = {m & -m: m for m in self._mask_set - other._mask_set}
-        spread = sum(lows)  # the least elements of self's unshared blocks
-        for big in other._mask_set - self._mask_set:
-            hit = big & spread
-            while hit:
-                low = hit & -hit
-                if lows[low] & ~big:
-                    return False
-                hit ^= low
-        return True
+        mine, theirs = self._mask_set, other._mask_set
+        return _refines(mine - theirs, theirs - mine)
 
     def __lt__(self, other: "Partition") -> bool:
         return self != other and self <= other
@@ -317,6 +307,26 @@ class Partition:
         if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
             raise ValueError("'blocks' must be a list of lists")
         return cls.from_blocks(n, blocks)
+
+
+def _refines(lo: Iterable[int], hi: Iterable[int]) -> bool:
+    """True iff each block of ``lo`` lies inside a block of ``hi``, where the
+    two sides are disjoint blocks covering the same elements (the unshared
+    blocks of two partitions of one set).
+
+    Each block of lo must lie inside the block of hi holding its least
+    element; each block of either side is visited once.
+    """
+    lows = {m & -m: m for m in lo}
+    spread = sum(lows)  # the least elements of lo's blocks
+    for big in hi:
+        hit = big & spread
+        while hit:
+            low = hit & -hit
+            if lows[low] & ~big:
+                return False
+            hit ^= low
+    return True
 
 
 def _checked_members(members: Iterable[object], n: int) -> list[Partition]:
@@ -373,12 +383,22 @@ class _BlockMasks(dict):
     ``_bit_table(n)`` and no token repeats (a repeat would carry into
     another bit); any other text raises KeyError and stores nothing.  The
     empty text maps to 0.  ``low`` maps each stored mask to its lowest bit,
-    the sort key of canonical block order.
+    the sort key of canonical block order.  ``full`` is the mask of
+    {0..n-1}.  Unless n is an int in 1..cap (and PILAT_MAX_N is well
+    formed), the table and ``full`` are empty, so every text but the empty
+    one misses: such input is for ``_parse_literal`` to report.
     """
 
     def __init__(self, n: int):
         super().__init__()
+        try:
+            fast = type(n) is int and 0 < n <= ground_cap()
+        except ValueError:  # a malformed PILAT_MAX_N
+            fast = False
+        if not fast:
+            n = 0
         self.bits = _bit_table(n).__getitem__
+        self.full = (1 << n) - 1
         self.low: dict[int, int] = {}
 
     def __missing__(self, text: str) -> int:
@@ -420,33 +440,35 @@ def _parse_literal(text: str, n: int) -> Partition:
     return Partition.from_blocks(n, blocks)
 
 
+def _tiles(masks: Sequence[int], union: int) -> bool:
+    """True iff the non-zero ``masks`` are disjoint with union ``union``:
+    they sum to it and their popcounts sum to its popcount (a shared bit
+    would carry, leaving fewer bits set)."""
+    return (all(masks) and sum(masks) == union
+            and sum(map(int.bit_count, masks)) == union.bit_count())
+
+
 def _parse_many(lines: Iterable[str], n: int) -> list[Partition]:
     """The partition of each ``block|block|...`` literal over {0..n-1}, in order.
 
     The mirror of ``_format_many``: a ``_BlockMasks`` that lives only for
     this call reads each distinct block text once, so consecutive lines of
     a chain file, which share all blocks but one, cost one split and a
-    lookup per block.  A line is accepted there when its block masks are
-    non-zero, their popcounts sum to n and the masks sum to the full mask
-    (a shared bit would carry, leaving fewer than n bits set).  Any other
-    line (``07``, a duplicate, a size over the cap, a malformed
-    PILAT_MAX_N) takes ``_parse_literal``, so results and error messages
-    are exactly its; the first error is raised as a ``_LineError``.
+    lookup per block.  A line is accepted there when its block masks tile
+    the full mask (``_tiles``).  Any other line (``07``, a duplicate, a
+    size over the cap, a malformed PILAT_MAX_N) takes ``_parse_literal``,
+    so results and error messages are exactly its; the first error is
+    raised as a ``_LineError``.
     """
-    try:
-        fast = type(n) is int and 0 < n <= ground_cap()
-    except ValueError:  # a malformed PILAT_MAX_N is reported by _parse_literal
-        fast = False
-    memo = _BlockMasks(n if fast else 0)  # with no table every token misses
+    memo = _BlockMasks(n)
     mask_of, low = memo.__getitem__, memo.low.__getitem__
-    full = (1 << n) - 1 if fast else 0
     parts = []
     for index, text in enumerate(lines):
         try:
             masks = list(map(mask_of, text.strip().split("|")))
         except KeyError:
             masks = [0]
-        if all(masks) and sum(masks) == full and sum(map(int.bit_count, masks)) == n:
+        if _tiles(masks, memo.full):
             parts.append(_trusted(n, sorted(masks, key=low)))
             continue
         try:

@@ -490,3 +490,100 @@ def test_format_cardinal():
     assert format_cardinal(fin(3)) == "fin(3)"
     assert format_cardinal(al("w*2+1")) == "aleph(w*2+1)"
     assert format_result(aleph(0)) == "aleph(0)"
+
+
+# ------------------------------------------------ metamorphic model properties
+#
+# These relate the answers of two models without recomputing either: they
+# only read an answer as an interval [lo, hi] (an exact c is [c, c], hi None
+# is unbounded) and compare cardinals.  Valid models are Easton's: 2^kappa
+# pinned at regular kappa, monotone, with cf(2^kappa) > kappa (Jech, Set
+# Theory, 2003, Thm 5.15 for the GCH values; Easton, Ann. Math. Logic 1, 1970).
+
+_INDEX_TEXTS = ("0", "1", "2", "3", "4", "5", "6", "w", "w+1", "w+2")
+_INFINITE = [al(t) for t in _INDEX_TEXTS]
+_BASES = [fin(2), fin(3)] + _INFINITE
+_REGULAR_INDICES = [parse_ordinal(t) for t in _INDEX_TEXTS if t != "w"]  # aleph_w is singular
+_SUCCESSOR_VALUES = [parse_ordinal(t) for t in ("1", "2", "3", "4", "5", "6", "7", "8",
+                                                  "w+1", "w+2", "w+3", "w+4")]
+
+
+def _span(answer):
+    if isinstance(answer, CardinalInterval):
+        return answer.lo, answer.hi
+    return answer, answer
+
+
+def _holds(inner, outer):
+    """True iff the interval of ``inner`` lies inside the interval of ``outer``."""
+    (ilo, ihi), (olo, ohi) = _span(inner), _span(outer)
+    return olo <= ilo and (ohi is None or (ihi is not None and ihi <= ohi))
+
+
+def _shapes(kappa):
+    yield PartitionShape(kappa, 0)
+    yield PartitionShape(kappa, 2)
+    for residue in [fin(0), fin(1), fin(3)] + [c for c in _INFINITE if c <= kappa]:
+        yield PartitionShape(kappa, 1, residue)
+
+
+def _answers(model):
+    """Every power and complement count over the fixed cardinals, by key."""
+    out = {}
+    for lam in _INFINITE:
+        out["2^", lam] = power_of_two(lam, model)
+        for base in _BASES:
+            out["pow", base, lam] = card_pow(base, lam, model)
+        for shape in _shapes(lam):
+            out["complements", shape] = complement_count_symbolic(shape, model)
+    return out
+
+
+@st.composite
+def _pins(draw):
+    """2^aleph_k = aleph_v at some regular k: values are successors above
+    their key and do not decrease, so every draw is a valid model."""
+    keys = sorted(draw(st.sets(st.sampled_from(_REGULAR_INDICES), max_size=4)))
+    pins, floor = {}, ZERO
+    for k in keys:
+        floor = draw(st.sampled_from([v for v in _SUCCESSOR_VALUES if v > k and v >= floor]))
+        pins[k] = floor
+    return pins
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pins(), st.data())
+def test_pinning_more_values_refines_every_answer(pins, data):
+    # (a) a model M that pins a subset of the values of M' answers with an
+    # interval holding M''s answer: pinning more never widens or moves it
+    kept = data.draw(st.sets(st.sampled_from(sorted(pins)))) if pins else set()
+    finer = _answers(ContinuumModel(continuum=pins))
+    coarser = _answers(ContinuumModel(continuum={k: pins[k] for k in kept}))
+    assert [key for key in finer if not _holds(finer[key], coarser[key])] == []
+
+
+_GCH_ANSWERS = _answers(GCH)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(_REGULAR_INDICES)))
+def test_pinning_gch_values_keeps_the_gch_answer(keys):
+    # (b) pins 2^aleph_k = aleph_{k+1} agree with GCH: every answer is GCH's
+    # or an interval holding it
+    model = ContinuumModel(continuum={k: k + ONE for k in keys})
+    got = _answers(model)
+    assert [key for key in got if not _holds(_GCH_ANSWERS[key], got[key])] == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(None), _pins()))
+def test_complement_count_lies_between_one_and_the_power_set(pins):
+    # (c) paper (V): a nontrivial partition of kappa has at least one and
+    # at most 2^kappa complements, under GCH and under any model
+    model = GCH if pins is None else ContinuumModel(continuum=pins)
+    for kappa in _INFINITE:
+        power_lo, power_hi = _span(power_of_two(kappa, model))
+        for shape in _shapes(kappa):
+            lo, hi = _span(complement_count_symbolic(shape, model))
+            assert fin(1) <= lo <= power_lo, shape
+            assert power_hi is None or (hi is not None and hi <= power_hi), shape

@@ -1,5 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -8,9 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pilat import Partition, covers, iter_partitions, keyframe_chain, partitions
-from pilat.cli import _CHUNK, HASSE_VERSION, _hasse_dot, _write_lines, main
+from pilat import (Partition, bottom, chains, covers, iter_partitions, keyframe_chain, partitions,
+                   verify_chain)
+from pilat.cli import _CHUNK, HASSE_VERSION, _hasse_dot, _read_partition_file, _write_lines, main
 
 CENSUS3 = """\
 # pilat census v1
@@ -141,6 +146,17 @@ def test_file_errors_name_the_file_and_line(capsys, tmp_path, argv):
         path.write_text(text)
         rc, out, err = run(capsys, *argv, str(path))
         assert (rc, out, err) == (2, "", f"error: {path}:{line}: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [("chains", "verify"), ("hasse", "--chain"),
+                                  ("hasse", "--antichain")])
+def test_file_with_bad_utf8_names_the_file(capsys, tmp_path, argv):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xff0|1\n0 1\n")
+    rc, out, err = run(capsys, *argv, str(path))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
 
 
 def test_verify_missing_file(capsys):
@@ -457,11 +473,195 @@ def test_chain_file_work_counts(capsys, tmp_path, monkeypatch):
         rc, out, _ = run(capsys, *argv, str(path))
         assert rc == 0 and out
     assert counts == {"labels": 0, "fallback": 0}
+    # chains verify reads the file as line differences: its lines never
+    # become partitions, so losing that reading fails here without a timing
+    built = [0]
+    trusted = partitions._trusted
+
+    def counted_trusted(n, masks):
+        built[0] += 1
+        return trusted(n, masks)
+
+    for module in (partitions, chains):
+        monkeypatch.setattr(module, "_trusted", counted_trusted)
+    rc, out, _ = run(capsys, "chains", "verify", str(path))
+    assert (rc, out) == (0, "chain: yes\nsaturated: yes\nmaximal: yes\n")
+    assert built[0] <= 3
+    run(capsys, "hasse", "--chain", str(path))  # the counter is live: hasse parses every line
+    assert built[0] >= 128
     # both counters are live: a padded token falls back, a meet reads labels
     path.write_text("07 1|2\n")
     run(capsys, "chains", "verify", str(path))
     Partition.parse("0|1", 2) & Partition.parse("0 1", 2)
     assert counts == {"labels": 2, "fallback": 1}
+
+
+def _reference_verify(path):
+    """``chains verify`` as the composition of the full parse and
+    ``verify_chain``: exit code, stdout and stderr."""
+    try:
+        report = verify_chain(_read_partition_file(path))
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    out = "".join(f"{key}: {'yes' if flag else 'no'}\n" for key, flag in (
+        ("chain", report.is_chain), ("saturated", report.is_saturated),
+        ("maximal", report.is_maximal)))
+    if report.witness is not None:
+        out += f"witness: {report.witness}\n"
+    return (0 if report.is_chain else 1), out, ""
+
+
+def _main_outcome(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+_BAD_BLOCKS = ["07", "+3", "x", "0 0", "", " ", "99", "1.0"]
+
+
+@st.composite
+def _chain_file_texts(draw):
+    """A maximal chain of Pi_n, n <= 12, with some lines dropped, swapped,
+    duplicated, replaced by a random partition, malformed or given a token
+    such as ``07`` or ``+7``, the file sometimes reversed, blocks and their
+    elements shuffled, texts padded."""
+    n = draw(st.integers(1, 12))
+    p = bottom(n)
+    chain = [p]
+    while p.block_count > 1:
+        i, j = draw(st.lists(st.integers(0, p.block_count - 1), min_size=2, max_size=2,
+                             unique=True))
+        p = p.merge_blocks(i, j)
+        chain.append(p)
+    lines = [[list(map(str, b)) for b in q.blocks] for q in chain]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["drop", "swap", "repeat", "fresh", "malformed",
+                                     "token"]))
+        at = draw(st.integers(0, len(lines) - 1))
+        if kind == "drop" and len(lines) > 1:
+            del lines[at]
+        elif kind == "swap" and at + 1 < len(lines):
+            lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        elif kind == "repeat":
+            lines.insert(at, [list(b) for b in lines[at]])
+        elif kind == "fresh":
+            labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            lines[at] = [list(map(str, b)) for b in Partition.from_labels(labels).blocks]
+        elif kind == "malformed":
+            blocks = lines[at]
+            b = draw(st.integers(0, len(blocks) - 1))
+            bad = draw(st.sampled_from(_BAD_BLOCKS + [" ".join(blocks[0])]))
+            if draw(st.booleans()):
+                blocks[b] = [bad]
+            else:
+                blocks.insert(b, [bad])
+        elif kind == "token":
+            block = draw(st.sampled_from(lines[at]))
+            t = draw(st.integers(0, len(block) - 1))
+            block[t] = draw(st.sampled_from(["0", "+"])) + block[t]
+    if draw(st.booleans()):
+        lines.reverse()
+    text = []
+    for blocks in lines:
+        if draw(st.integers(0, 3)) == 0:
+            blocks = [draw(st.permutations(b)) for b in draw(st.permutations(blocks))]
+        pad = draw(st.sampled_from(["", "", " ", "\t"]))
+        sep = draw(st.sampled_from(["|", "|", " | "]))
+        text.append(pad + sep.join(" ".join(b) for b in blocks) + pad + "\n")
+        if draw(st.integers(0, 7)) == 0:
+            text.append("\n")
+    return "".join(text)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_chain_file_texts())
+@example("0|1|2\n0 1|2\n0 1 2\n")
+@example("0 1|2\n2|1 0\n")  # one partition written two ways: not strictly increasing
+@example("2|0|1\n1 0|2\n2 1 0\n")
+@example("0|1|2|3\n0 1 2 3\n")  # a gap
+@example("0|2|1 3\n0 2|3 1\n")  # a gap above a partition that is not bottom
+@example("0|1|2|3\n0 1|2 3\n0 2|1 3\n")  # incomparable neighbours
+def test_chain_verify_matches_parse_then_verify(tmp_path_factory, text):
+    # reading the file as line differences may only be faster: exit code,
+    # stdout and stderr are those of the full parse followed by verify_chain
+    path = tmp_path_factory.mktemp("oracle") / "chain.txt"
+    path.write_text(text)
+    assert _main_outcome("chains", "verify", str(path)) == _reference_verify(str(path))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("0 1|2\n2|1 0\n", (1, "chain: no\nsaturated: no\nmaximal: no\nwitness: (0, 1)\n", "")),
+    ("0 0|1 2\n0|1 2 3\n0 1 2 3\n", (2, "", "error: {path}:1: duplicate element 0\n")),
+    ("0|1|2\n0 x|1 2\n0 1 2\n", (2, "", "error: {path}:2: bad element token in '0 x'\n")),
+    ("0|1|2\n0 1|2\n0 1|3\n", (2, "", "error: {path}:3: element 3 outside ground set 0..2\n")),
+    ("07 1|2\n", (2, "", "error: {path}:1: element 7 outside ground set 0..2\n")),
+    ("0|1|2\n00 1|2\n+1 0 2\n", (0, "chain: yes\nsaturated: yes\nmaximal: yes\n", "")),
+])
+def test_chain_verify_explicit_files(tmp_path, text, expected):
+    path = tmp_path / "chain.txt"
+    path.write_text(text)
+    rc, out, err = expected
+    assert _main_outcome("chains", "verify", str(path)) == (rc, out, err.format(path=path))
+    assert _reference_verify(str(path)) == (rc, out, err.format(path=path))
+
+
+def test_chain_verify_reads_padded_tokens_as_the_full_parse(tmp_path):
+    # "07"- and "+3"-style tokens miss the block memo: the whole file falls
+    # back to the full parse and gives the canonical file's report
+    chain = keyframe_chain(3)
+    chain[2], chain[3] = chain[3], chain[2]
+    padded = tmp_path / "padded.txt"
+    padded.write_text("".join("|".join(" ".join(f"+{e}" if e % 3 else f"0{e}" for e in b)
+                                       for b in p.blocks) + "\n" for p in chain))
+    outcome = _main_outcome("chains", "verify", str(padded))
+    assert outcome == _reference_verify(str(padded))
+    assert outcome == (1, "chain: no\nsaturated: no\nmaximal: no\nwitness: (2, 3)\n", "")
+
+
+HASH_SEED_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from pilat.cli import main
+out = []
+for path in sys.argv[2:]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(["chains", "verify", path])
+    out.append([rc, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_chain_verify_output_is_independent_of_the_hash_seed(tmp_path):
+    # block texts are kept in sets of strings, whose order follows the hash
+    # seed; one file per verdict must print the same bytes under two seeds
+    chain = [p.format() for p in keyframe_chain(4)]
+    shuffled = ["|".join(reversed(line.split("|"))) for line in chain]
+    files = {
+        "maximal": shuffled,
+        "no-bottom": shuffled[1:],
+        "no-top": shuffled[:-1],
+        "gap": shuffled[:3] + shuffled[6:],
+        "not-a-chain": shuffled[:4] + [shuffled[5], shuffled[4]] + shuffled[6:],
+        "bad-line": shuffled[:4] + ["0 1|1 2"] + shuffled[5:],
+        "padded": ["07 " + shuffled[0]] + shuffled[1:],
+    }
+    paths = []
+    for name, lines in files.items():
+        paths.append(str(tmp_path / f"{name}.txt"))
+        Path(paths[-1]).write_text("".join(line + "\n" for line in lines))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE, src, *paths],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert [rc for rc, _, _ in json.loads(outputs[0])] == [0, 0, 0, 0, 1, 2, 2]
 
 
 def test_hasse_requires_exactly_one_source(capsys):
