@@ -10,7 +10,10 @@ model forces it; otherwise the result is an interval [lower, upper] (upper
 may be unknown), never a guess.
 
 Text forms, shared with the CLI: ordinals use ``w`` for omega, as in
-``w^2*3+w+5``; cardinals are ``fin(3)`` or ``aleph(w+1)``.
+``w^2*3+w+5``; cardinals are ``fin(3)`` or ``aleph(w+1)``.  The reader
+splits text into tokens in one scan, which refuses parentheses nested more
+than NEST_CAP deep; it then reads ordinals in one loop and the cardinal
+layer (``pow``, ``cf``, ``complements``) by recursive descent.
 """
 from __future__ import annotations
 
@@ -68,23 +71,35 @@ class Ordinal:
         return 0
 
     def __eq__(self, other: object) -> bool:
+        # _cmp costs one frame per nesting level; comparing the terms tuples
+        # costs several recursion levels per level on Python 3.11 and earlier
+        if self is other:
+            return True
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return self.terms == other.terms
+        return not self._cmp(other)
 
     def __hash__(self) -> int:
         return hash(self.terms)
 
     def __lt__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return self._cmp(other) < 0
 
     def __le__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return self._cmp(other) <= 0
 
     def __gt__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return self._cmp(other) > 0
 
     def __ge__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return self._cmp(other) >= 0
 
     # -- arithmetic ------------------------------------------------------
@@ -162,7 +177,7 @@ def format_ordinal(o: Ordinal) -> str:
             base = "w"
         else:
             inner = format_ordinal(exp)
-            base = f"w^{inner}" if re.fullmatch(r"\w+", inner) else f"w^({inner})"
+            base = f"w^{inner}" if inner.isalnum() else f"w^({inner})"
         parts.append(base if c == 1 else f"{base}*{c}")
     return "+".join(parts)
 
@@ -210,16 +225,24 @@ class Cardinal:
         return hash((self.finite, self.index))
 
     def __lt__(self, other: "Cardinal") -> bool:
+        if not isinstance(other, Cardinal):
+            return NotImplemented
         ka, kb = self._key(), other._key()
         return ka[0] < kb[0] or (ka[0] == kb[0] and ka[1] < kb[1])
 
     def __le__(self, other: "Cardinal") -> bool:
+        if not isinstance(other, Cardinal):
+            return NotImplemented
         return self == other or self < other
 
     def __gt__(self, other: "Cardinal") -> bool:
+        if not isinstance(other, Cardinal):
+            return NotImplemented
         return other < self
 
     def __ge__(self, other: "Cardinal") -> bool:
+        if not isinstance(other, Cardinal):
+            return NotImplemented
         return other <= self
 
     def successor(self) -> "Cardinal":
@@ -310,9 +333,10 @@ class ContinuumModel:
     def from_json(cls, data: dict) -> "ContinuumModel":
         """The model a JSON object describes: {"gch": bool, "continuum": {ord: ord}}.
 
-        Both keys are optional and no other key is allowed.  Hashing and
-        comparing ordinals recurses on their nesting, so an ordinal nested
-        beyond the interpreter's recursion limit is rejected as bad input.
+        Both keys are optional and no other key is allowed.  Each ordinal
+        is read under NEST_CAP, as an expression is.  Hashing and comparing
+        ordinals still recurse once per nesting level, so an ordinal that
+        exhausts the stack of a deep caller is rejected as bad input too.
         """
         if not isinstance(data, dict):
             raise ValueError("model file must hold a JSON object")
@@ -551,21 +575,35 @@ def format_result(res) -> str:
     return str(res)
 
 
-_TOKEN = re.compile(r"\s*([a-z]+|[0-9]+|[()+*^,=])")
+NEST_CAP = 320  # the deepest parenthesis nesting read in an expression or model ordinal
+
+# Neither pattern backtracks: the first stops at the first character outside
+# the grammar's alphabet, the second matches each token in one step.
+_ALPHABET = re.compile(r"[a-z0-9()+*^,=\s]*")
+_TOKEN = re.compile(r"[a-z]+|[0-9]+|[()+*^,=]")
 
 
 def _tokens(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad character {text[pos:].strip()[0]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+    """The tokens of ``text`` followed by a ``None`` end marker.
+
+    Refuses text with a character outside the grammar, and then text whose
+    parentheses nest more than NEST_CAP deep, before anything is parsed.
+    """
+    end = _ALPHABET.match(text).end()
+    if end < len(text):
+        raise ValueError(f"bad character {text[end]!r}")
+    if text.count("(") > NEST_CAP:
+        depth = 0
+        for ch in text:
+            if ch == "(":
+                depth += 1
+                if depth > NEST_CAP:
+                    raise ValueError("expression nested too deeply")
+            elif ch == ")":
+                depth -= 1
+    toks = _TOKEN.findall(text)
+    toks.append(None)
+    return toks
 
 
 class _Parser:
@@ -574,10 +612,10 @@ class _Parser:
         self.pos = 0
 
     def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        return self.toks[self.pos]
 
     def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok is None:
             raise ValueError("unexpected end of expression")
         if expected is not None and tok != expected:
@@ -593,42 +631,61 @@ class _Parser:
 
     # ordinals ---------------------------------------------------------
     def ordinal(self) -> Ordinal:
-        total = self.ord_term()
-        while self.peek() == "+":
-            self.take("+")
-            total = total + self.ord_term()
-        return total
+        """ORD := TERM ('+' TERM)*;  TERM := 'w' ['^' ATOM] ['*' INT] | INT;
+        ATOM := '(' ORD ')' | 'w' | INT.
 
-    def ord_term(self) -> Ordinal:
-        tok = self.peek()
-        if tok == "w":
-            self.take("w")
-            exp = ONE
-            if self.peek() == "^":
-                self.take("^")
-                exp = self.ord_atom()
-            coeff = 1
-            if self.peek() == "*":
-                self.take("*")
-                coeff = self.int_()
-            return Ordinal.omega_power(exp, coeff)
-        if tok is not None and tok.isdigit():
-            return Ordinal.from_int(self.int_())
-        raise ValueError(f"expected an ordinal term, got {tok!r}")
-
-    def ord_atom(self) -> Ordinal:
-        tok = self.peek()
-        if tok == "(":
-            self.take("(")
-            o = self.ordinal()
-            self.take(")")
-            return o
-        if tok == "w":
-            self.take("w")
-            return OMEGA
-        if tok is not None and tok.isdigit():
-            return Ordinal.from_int(self.int_())
-        raise ValueError(f"expected an ordinal, got {tok!r}")
+        One loop: ``pending`` holds, for each ``w^(`` still open, the sum
+        read before it, and ``total`` the sum read so far inside it.
+        """
+        toks = self.toks
+        pos = self.pos
+        pending: list[Ordinal | None] = []
+        total: Ordinal | None = None
+        while True:
+            tok = toks[pos]
+            pos += 1
+            if tok == "w":
+                exp = ONE
+                if toks[pos] == "^":
+                    tok = toks[pos + 1]
+                    pos += 2
+                    if tok == "(":
+                        pending.append(total)
+                        total = None
+                        continue
+                    if tok == "w":
+                        exp = OMEGA
+                    elif tok is not None and tok.isdigit():
+                        exp = Ordinal.from_int(int(tok))
+                    else:
+                        raise ValueError(f"expected an ordinal, got {tok!r}")
+                term = None  # a power of w whose coefficient is still to read
+            elif tok is not None and tok.isdigit():
+                term = Ordinal.from_int(int(tok))
+            else:
+                raise ValueError(f"expected an ordinal term, got {tok!r}")
+            # Finish the term.  A ')' after it ends the sum inside a w^( ),
+            # and that power of w is the next term to finish.
+            while True:
+                if term is None:
+                    coeff = 1
+                    if toks[pos] == "*":
+                        self.pos = pos + 1
+                        coeff = self.int_()
+                        pos = self.pos
+                    term = Ordinal.omega_power(exp, coeff)
+                total = term if total is None else total + term
+                if toks[pos] == "+":
+                    pos += 1
+                    break
+                self.pos = pos
+                if not pending:
+                    return total
+                self.take(")")
+                pos += 1
+                exp = total
+                total = pending.pop()
+                term = None
 
     # cardinals --------------------------------------------------------
     def cardinal(self, model: ContinuumModel):
@@ -695,8 +752,10 @@ class _Parser:
 def _parse(text: str, rule):
     """Run ``rule`` on a parser over the whole of ``text``.
 
-    The parser recurses on every nesting level, so input nested beyond the
-    interpreter's recursion limit is rejected as bad input.
+    The scan has refused nesting beyond NEST_CAP.  Ordinals are read in a
+    loop, but the cardinal layer recurses on each ``pow``/``cf`` and the
+    Ordinal methods on each nesting level, so a caller whose stack is
+    already deep can still exhaust it: that too is rejected as bad input.
     """
     p = _Parser(text)
     try:

@@ -148,13 +148,45 @@ def _cmd_ortho(args) -> tuple[int, list[str]]:
     return 0, ["found", *(f"{text[a]} -> {text[b]}" for a, b in found.items())]
 
 
+def _json_nests_past_cap(text: str) -> bool:
+    """Whether the arrays and objects of JSON ``text`` nest more than
+    ``cardinal.NEST_CAP`` deep: one scan, which skips the insides of strings."""
+    if text.count("[") + text.count("{") <= card.NEST_CAP:
+        return False
+    depth = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == "[" or ch == "{":
+            depth += 1
+            if depth > card.NEST_CAP:
+                return True
+        elif ch == "]" or ch == "}":
+            depth -= 1
+    return False
+
+
 def _load_model(source: str) -> card.ContinuumModel:
-    """GCH, or the model in a JSON file; an error in the file names it."""
+    """GCH, or the model in a JSON file; an error in the file names it.
+
+    A file nested past the cap is refused before it is decoded, so the
+    answer does not depend on the decoder's own recursion limits."""
     if source == "gch":
         return card.GCH
     with open(source, encoding="utf-8") as fh:
         try:
-            return card.ContinuumModel.from_json(json.load(fh))
+            text = fh.read()
+            if _json_nests_past_cap(text):
+                raise ValueError("JSON nested too deeply")
+            return card.ContinuumModel.from_json(json.loads(text))
         except RecursionError:
             raise ValueError(f"{source}: JSON nested too deeply") from None
         except ValueError as exc:  # bad UTF-8, bad JSON or an invalid model

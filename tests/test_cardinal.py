@@ -1,5 +1,7 @@
 """Symbolic ordinals, aleph arithmetic, continuum models, and the expression
 grammar."""
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,27 @@ def test_ordinal_comparisons():
         for j, b in enumerate(parsed):
             assert (a < b) == (i < j)
             assert (a == b) == (i == j)
+
+
+@pytest.mark.parametrize("value", [ONE, W, fin(1), aleph(0)], ids=str)
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge],
+                         ids=lambda op: op.__name__)
+def test_order_against_another_type_is_a_type_error(value, op):
+    # each comparison returns NotImplemented, so Python raises TypeError
+    foreign = fin(1) if isinstance(value, Ordinal) else ONE
+    for other in (3, "w", None, foreign):
+        with pytest.raises(TypeError):
+            op(value, other)
+        with pytest.raises(TypeError):
+            op(other, value)
+    assert value != 3 and value != foreign
+
+
+def test_ordinal_equality_is_structural():
+    a, b = parse_ordinal("w^(w+1)*2+3"), parse_ordinal("w^(w+1)*2+3")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == a and not a != a
+    assert a != parse_ordinal("w^(w+1)*2+4") and a != parse_ordinal("w^(w+2)*2+3")
 
 
 def test_ordinal_addition_absorbs():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from pilat import (Partition, bottom, chains, covers, iter_partitions, keyframe_chain, partitions,
                    verify_chain)
+from pilat.cardinal import NEST_CAP
 from pilat.cli import _CHUNK, HASSE_VERSION, _hasse_dot, _read_partition_file, _write_lines, main
 
 CENSUS3 = """\
@@ -322,9 +323,9 @@ def test_cardinal_eval_deep_nesting(capsys):
 
 
 def test_cardinal_eval_deep_model_file(capsys, tmp_path):
-    # json.load raises RecursionError on arrays nested about 1000 deep, and
-    # building the model on ordinal keys nested a few hundred deep
-    key = _nested_ordinal(300)
+    # JSON nested past NEST_CAP is refused before it is decoded, and an
+    # ordinal key nested one level past it in the scan of the key
+    key = _nested_ordinal(NEST_CAP + 1)
     deep_key = json.dumps({"continuum": {f"{key}+1": f"{key}+3"}})
     for text in ("[" * 1000, "[" * 100_000, deep_key):
         model = tmp_path / "deep.json"
