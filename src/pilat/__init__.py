@@ -21,7 +21,7 @@ from .chains import (ChainReport, KeyframePlan, enumerate_maximal_chains,
                      verify_chain)
 from .complements import (complement_census, enumerate_complements, grieser_count,
                           injection_complement, injection_complement_family,
-                          is_complement, naive_complements, relative_complement_in,
+                          is_complement, relative_complement_in,
                           split_transversal_complement, split_transversal_family)
 from .enumeration import atoms, bell, coatoms, iter_partitions, stirling2
 from .ortho import (NonOrthoWitness, OrthoReport, brute_search_orthocomplementation,

@@ -5,25 +5,29 @@ Equivalently: every block of Q shares at most one element with every block
 of P (meet condition), and the union of both block structures connects the
 whole ground set (join condition).
 
-The module provides a naive filtering oracle, a pruned backtracking
-enumerator that must agree with it, the classic product formula for the
-number of complements with exactly n - m + 1 blocks, a census that counts
-the complements of every partition of Pi_n (the CLI prints the formula
-beside the counts), and two explicit constructions that each produce
-families of pairwise distinct complements.
+The module provides a pruned backtracking enumerator, the classic product
+formula for the number of complements with exactly n - m + 1 blocks, a
+census that counts the complements of every partition of Pi_n (the CLI
+prints the formula beside the counts), and two explicit constructions that
+each produce families of pairwise distinct complements.
 
-The enumerator and the census share one iterative depth-first walk over the
-restricted growth strings of Q, ``_frontier``.  It stops at the last
-element and yields the open blocks of Q with the index list of the blocks
-that element may join (the open-block count meaning a new block), one index
-per complement.  ``enumerate_complements`` builds one partition per index;
-the census only adds up the lists and builds none.  The yielded block list
-is live, so a consumer copies it before the walk's next step.
+The enumerator is the one consumer of ``_frontier``, an iterative
+depth-first walk over the restricted growth strings of Q.  It stops at the
+last element and yields the open blocks of Q with the index list of the
+blocks that element may join (the open-block count meaning a new block),
+one index per complement, and ``enumerate_complements`` builds one
+partition per index.  The yielded block list is live, so a consumer copies
+it before the walk's next step.
+
+The census visits no candidate Q.  Relabelling the ground set maps
+complements to complements, so a partition's two counts depend only on its
+block sizes, and ``_complement_counts`` reads them from those sizes alone,
+by a transfer over p's blocks.
 """
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import comb, perm, prod
 from typing import Iterator, Mapping
 
 from .enumeration import iter_partitions
@@ -44,12 +48,6 @@ def is_complement(p: Partition, q: Partition) -> bool:
                 return False
     # meet is bottom; join is top iff the two block structures connect
     return len(_join_masks(p.n, p.masks + q.masks)) <= 1
-
-
-def naive_complements(p: Partition) -> list[Partition]:
-    """Oracle: filter the whole lattice.  Only sensible for small n."""
-    _check_cap(p.n, ORACLE_CAP, "complement oracle")
-    return [q for q in iter_partitions(p.n) if is_complement(p, q)]
 
 
 def _frontier(p: Partition) -> Iterator[tuple[list[int], list[int]]]:
@@ -335,24 +333,57 @@ def complement_census(n: int) -> Iterator[tuple[Partition, int, int]]:
 
 
 def _census(n: int) -> Iterator[tuple[Partition, int, int]]:
-    """The census counted from the walk's nodes: no complement is built.
+    """The census counted from each partition's block sizes: no candidate is visited.
 
-    A node with k open blocks finishes a complement with k blocks per index
-    below k, and one with k + 1 blocks if k is listed.  No complement has
-    more than n - m + 1 blocks (joining p's m blocks takes at least m - 1
-    merges), so when k is the target every index counts.
+    The target n - m + 1, where m is p's block count, is the most blocks a
+    complement can have (joining p's m blocks takes at least m - 1 merges).
     """
     for p in iter_partitions(n):
-        target = n - p.block_count + 1
-        total = count_nm1 = 0
-        for qmask, idx in _frontier(p):
-            total += len(idx)
-            k = len(qmask)
-            if k == target:
-                count_nm1 += len(idx)
-            elif k + 1 == target and idx[-1] == k:
-                count_nm1 += 1
+        total, count_nm1 = _complement_counts(p.block_sizes, n - p.block_count + 1)
         yield p, total, count_nm1
+
+
+def _complement_counts(sizes: tuple[int, ...], target: int) -> tuple[int, int]:
+    """``(total, count)``: the complements of a partition with these block sizes,
+    all of them and those with exactly ``target`` blocks.
+
+    A transfer over p's blocks in the order given (the census gives them
+    largest first, the cheaper order).  A piece is a set of p-blocks
+    and Q-blocks linked by shared elements; a state is the sorted tuple of
+    its pieces' Q-block counts, mapped to the number of ways to reach it.  A
+    block of s elements picks t_j of the c_j Q-blocks of each piece j, in
+    C(c_j, t_j) ways, and puts one of its elements into each, in perm(s, T)
+    ways for T = sum t_j <= s: one element per block is the meet condition.
+    Each other element opens a Q-block, and the new blocks fuse with every
+    piece they touch.  The states left with one piece are the complements
+    (the join condition), with that piece's count as Q's block count.
+    """
+    states = {(): 1}
+    for s in sizes:
+        reached: dict[tuple[int, ...], int] = {}
+        for pieces, ways in states.items():
+            # (elements placed into old blocks, Q-blocks fused, pieces kept) -> ways
+            picks = {(0, 0, ()): ways}
+            for c in pieces:
+                step: dict[tuple[int, int, tuple[int, ...]], int] = {}
+                for (placed, fused, kept), w in picks.items():
+                    key = (placed, fused, (*kept, c))
+                    step[key] = step.get(key, 0) + w
+                    for t in range(1, min(c, s - placed) + 1):
+                        key = (placed + t, fused + c, kept)
+                        step[key] = step.get(key, 0) + w * comb(c, t)
+                picks = step
+            for (placed, fused, kept), w in picks.items():
+                state = tuple(sorted((*kept, fused + s - placed)))
+                reached[state] = reached.get(state, 0) + w * perm(s, placed)
+        states = reached
+    total = count = 0
+    for pieces, ways in states.items():
+        if len(pieces) == 1:
+            total += ways
+            if pieces[0] == target:
+                count += ways
+    return total, count
 
 
 def relative_complement_in(b: Partition, a: Partition, c: Partition) -> Partition | None:

@@ -34,7 +34,6 @@ from pilat import (
     keyframe_chain,
     KeyframePlan,
     meet,
-    naive_complements,
     non_ortho_witness,
     parse_ordinal,
     PartitionShape,
@@ -46,6 +45,7 @@ from pilat import (
     verify_antichain,
     verify_chain,
 )
+from oracles import naive_complements
 
 
 @contextlib.contextmanager

@@ -762,6 +762,9 @@ GOLDEN = [
      "e75722bf992781f64a6012cb1cfef354d08c812e74906c51b4973240f3aab407"),
     (("enumerate", "--n", "9"),
      "e50bbb99d7d77c81812c9e727ece5004ff024ece1cbee708d89f53ffd3bb1543"),
+    # recorded before the census counted from block sizes
+    (("complements", "census", "--n", "8"),
+     "0f972110aa5f0d7522d8f820534f02c450ef03e4111fc3053428dbac625804b2"),
 ]
 
 # files named by an "@name" argument above; a repeated line repeats its node

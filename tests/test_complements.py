@@ -1,5 +1,6 @@
 """Complement testing, enumeration against a brute-force oracle, the product
-formula, and the two explicit complement constructions."""
+formula, the census against the complement walk, and the two explicit
+complement constructions."""
 import math
 from functools import lru_cache
 from itertools import permutations
@@ -20,14 +21,15 @@ from pilat import (
     iter_partitions,
     join,
     meet,
-    naive_complements,
     relative_complement_in,
     split_transversal_complement,
     split_transversal_family,
     top,
 )
-from pilat.complements import _frontier
+from pilat.complements import _complement_counts, _frontier
+from oracles import naive_complements
 from strats import partitions
+from test_census_closed_form import complement_total
 
 
 def P(text, n):
@@ -366,6 +368,58 @@ def test_complements_are_invariant_under_relabelling(p_sigma):
     assert counts[q] == counts[p]
     assert set(enumerate_complements(q)) == {_relabel(c, sigma)
                                              for c in enumerate_complements(p)}
+
+
+def _walk_census(n):
+    """The census counted from the walk's nodes: no complement is built.
+
+    A node with k open blocks finishes a complement with k blocks per index
+    below k, and one with k + 1 blocks if k is listed.  No complement has
+    more than n - m + 1 blocks (joining p's m blocks takes at least m - 1
+    merges), so when k is the target every index counts.
+    """
+    for p in iter_partitions(n):
+        target = n - p.block_count + 1
+        total = count_nm1 = 0
+        for qmask, idx in _frontier(p):
+            total += len(idx)
+            k = len(qmask)
+            if k == target:
+                count_nm1 += len(idx)
+            elif k + 1 == target and idx[-1] == k:
+                count_nm1 += 1
+        yield p, total, count_nm1
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_matches_the_walk(n):
+    # the counts from block sizes against the complement walk, row for row
+    assert list(complement_census(n)) == list(_walk_census(n))
+
+
+@st.composite
+def _block_sizes(draw):
+    # the block sizes of a partition of at most 9 elements, in any order
+    left = draw(st.integers(1, 9))
+    sizes = []
+    while left:
+        sizes.append(draw(st.integers(1, left)))
+        left -= sizes[-1]
+    return tuple(sizes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_sizes().flatmap(lambda sizes: st.tuples(st.just(sizes), st.permutations(sizes))))
+def test_complement_counts_read_only_the_block_sizes(sizes_order):
+    # the kernel's counts do not depend on the order of the blocks, the
+    # Moebius closed form gives the total and the product formula the count
+    # with n - m + 1 blocks
+    sizes, order = sizes_order
+    n, m = sum(sizes), len(sizes)
+    total, count_nm1 = _complement_counts(sizes, n - m + 1)
+    assert _complement_counts(tuple(order), n - m + 1) == (total, count_nm1)
+    assert total == complement_total(tuple(sorted(sizes, reverse=True)))
+    assert count_nm1 == (math.prod(sizes) * (n - m + 1) ** (m - 2) if m >= 2 else 1)
 
 
 def test_census_rejects_bad_n():

@@ -29,7 +29,6 @@ from pilat import (
     leq,
     lift_subset_chain,
     meet,
-    naive_complements,
     non_ortho_witness,
     relative_complement_in,
     search_orthocomplementation,
@@ -599,7 +598,6 @@ SIZED = {
 # Entry points that read n from a partition, which cannot have n < 0.
 ON_PARTITION = {
     "enumerate_complements": enumerate_complements,
-    "naive_complements": naive_complements,
     "relative_complement_in": lambda p: relative_complement_in(p, p, p),
 }
 
