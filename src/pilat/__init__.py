@@ -24,8 +24,8 @@ from .complements import (complement_census, enumerate_complements, grieser_coun
                           is_complement, relative_complement_in,
                           split_transversal_complement, split_transversal_family)
 from .enumeration import atoms, bell, coatoms, iter_partitions, stirling2
-from .ortho import (NonOrthoWitness, OrthoReport, brute_search_orthocomplementation,
-                    check_ortho_map, non_ortho_witness, search_orthocomplementation)
+from .ortho import (NonOrthoWitness, OrthoReport, check_ortho_map, non_ortho_witness,
+                    search_orthocomplementation)
 from .partitions import (Partition, bottom, comparable, covers, diag, ground_cap,
                          join, leq, meet, top)
 

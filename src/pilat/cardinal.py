@@ -9,11 +9,17 @@ Under a partial model a power evaluates to an exact cardinal only when the
 model forces it; otherwise the result is an interval [lower, upper] (upper
 may be unknown), never a guess.
 
+Each ordinal value is one object (Ordinal interns its terms), so equality
+and hashing are identity and a comparison follows one path of exponents in
+a loop.  Identity hashes follow memory addresses, so no output may depend
+on the iteration order of a set of ordinals.
+
 Text forms, shared with the CLI: ordinals use ``w`` for omega, as in
 ``w^2*3+w+5``; cardinals are ``fin(3)`` or ``aleph(w+1)``.  The reader
 splits text into tokens in one scan, which refuses parentheses nested more
-than NEST_CAP deep; it then reads ordinals in one loop and the cardinal
-layer (``pow``, ``cf``, ``complements``) by recursive descent.
+than NEST_CAP deep; it then reads ordinals in one loop and the ``pow``/``cf``
+layer in another.  No function here calls itself, so the stack an answer
+needs does not grow with the nesting.
 """
 from __future__ import annotations
 
@@ -25,13 +31,21 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_INTERNED: dict[tuple, "Ordinal"] = {}  # terms -> the one Ordinal with those terms
+
+
 class Ordinal:
-    """An ordinal below epsilon_0 in Cantor normal form (immutable)."""
+    """An ordinal below epsilon_0 in Cantor normal form (immutable).
+
+    Each value is one object: construction returns the instance already
+    made for equal terms, so equality and hashing are identity.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple = ()):
+    def __new__(cls, terms: tuple = ()):
         terms = tuple((e, c) for e, c in terms)
+        # validate before the lookup: True == 1 and they hash alike
         for i, (e, c) in enumerate(terms):
             if not isinstance(e, Ordinal):
                 raise TypeError("exponents must be Ordinals")
@@ -41,10 +55,21 @@ class Ordinal:
                 raise ValueError("coefficients must be positive")
             if i and not terms[i - 1][0] > e:
                 raise ValueError("exponents must be strictly decreasing")
-        object.__setattr__(self, "terms", terms)
+        self = _INTERNED.get(terms)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "terms", terms)
+            self = _INTERNED.setdefault(terms, self)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("Ordinal is immutable")
+
+    def __reduce__(self):
+        return Ordinal, (self.terms,)
+
+    def __deepcopy__(self, memo):
+        return self  # the one object of its value; copying its terms would recurse
 
     @staticmethod
     def from_int(k: int) -> "Ordinal":
@@ -60,27 +85,22 @@ class Ordinal:
 
     # -- order ----------------------------------------------------------
     def _cmp(self, other: "Ordinal") -> int:
-        for (ea, ca), (eb, cb) in zip(self.terms, other.terms):
-            c = ea._cmp(eb)
-            if c:
-                return c
-            if ca != cb:
-                return -1 if ca < cb else 1
-        if len(self.terms) != len(other.terms):
-            return -1 if len(self.terms) < len(other.terms) else 1
+        """-1, 0 or 1 as self is below, equal to or above other.
+
+        The first differing term decides, by its coefficients or, when its
+        exponents differ, by their comparison, which the loop makes next.
+        """
+        a, b = self, other
+        while a is not b:
+            for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+                if ea is not eb:
+                    a, b = ea, eb
+                    break
+                if ca != cb:
+                    return -1 if ca < cb else 1
+            else:  # one terms tuple extends the other
+                return -1 if len(a.terms) < len(b.terms) else 1
         return 0
-
-    def __eq__(self, other: object) -> bool:
-        # _cmp costs one frame per nesting level; comparing the terms tuples
-        # costs several recursion levels per level on Python 3.11 and earlier
-        if self is other:
-            return True
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return not self._cmp(other)
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
 
     def __lt__(self, other: "Ordinal") -> bool:
         if not isinstance(other, Ordinal):
@@ -142,15 +162,11 @@ class Ordinal:
         raise ValueError(f"{self} is not finite")
 
     def cofinality(self) -> "Ordinal":
-        """0, 1, or omega: every limit below epsilon_0 has cofinality omega,
-        reached by descending through the last exponent."""
+        """0, 1, or omega: every limit below epsilon_0 has cofinality omega."""
         if self.is_zero:
             return ZERO
         if self.is_successor:
             return ONE
-        last_exp = self.terms[-1][0]
-        if last_exp.is_limit:
-            return last_exp.cofinality()
         return OMEGA
 
     def __str__(self) -> str:
@@ -166,20 +182,35 @@ OMEGA = Ordinal(((ONE, 1),))
 
 
 def format_ordinal(o: Ordinal) -> str:
-    if o.is_zero:
-        return "0"
-    parts = []
-    for exp, c in o.terms:
-        if exp.is_zero:
-            parts.append(str(c))
+    """The text of ``o``, as in ``w^(w+1)*2+w^3+5``.  An exponent goes
+    without parentheses exactly when it is omega or finite."""
+    out: list[str] = []
+    todo: list[Ordinal | str] = [o]  # what is left to write, last item first
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
             continue
-        if exp == ONE:
-            base = "w"
-        else:
-            inner = format_ordinal(exp)
-            base = f"w^{inner}" if inner.isalnum() else f"w^({inner})"
-        parts.append(base if c == 1 else f"{base}*{c}")
-    return "+".join(parts)
+        if not item.terms:
+            out.append("0")
+            continue
+        pieces: list[Ordinal | str] = []
+        for exp, c in item.terms:
+            if pieces:
+                pieces.append("+")
+            if exp is ZERO:
+                pieces.append(str(c))
+                continue
+            if exp is ONE:
+                pieces.append("w")
+            elif exp is OMEGA or exp.terms[0][0] is ZERO:  # omega or finite
+                pieces += ("w^", exp)
+            else:
+                pieces += ("w^(", exp, ")")
+            if c != 1:
+                pieces.append(f"*{c}")
+        todo += reversed(pieces)
+    return "".join(out)
 
 
 class Cardinal:
@@ -201,6 +232,9 @@ class Cardinal:
 
     def __setattr__(self, *_):
         raise AttributeError("Cardinal is immutable")
+
+    def __reduce__(self):
+        return Cardinal, (self.finite, self.index)
 
     @property
     def is_finite(self) -> bool:
@@ -259,8 +293,6 @@ class Cardinal:
         ix = self.index
         if ix.is_zero or ix.is_successor:
             return self
-        cfo = ix.cofinality()
-        assert cfo == OMEGA, "limit indices below epsilon_0 are omega-cofinal"
         return ALEPH0
 
     @property
@@ -334,9 +366,8 @@ class ContinuumModel:
         """The model a JSON object describes: {"gch": bool, "continuum": {ord: ord}}.
 
         Both keys are optional and no other key is allowed.  Each ordinal
-        is read under NEST_CAP, as an expression is.  Hashing and comparing
-        ordinals still recurse once per nesting level, so an ordinal that
-        exhausts the stack of a deep caller is rejected as bad input too.
+        is read under NEST_CAP, as an expression is; reading, comparing and
+        hashing it take the same stack at any depth.
         """
         if not isinstance(data, dict):
             raise ValueError("model file must hold a JSON object")
@@ -349,11 +380,8 @@ class ContinuumModel:
         raw = data.get("continuum", {})
         if not isinstance(raw, dict):
             raise ValueError("'continuum' must be an object")
-        try:
-            cont = {parse_ordinal(str(k)): parse_ordinal(str(v)) for k, v in raw.items()}
-            return cls(gch=gch, continuum=cont)
-        except RecursionError:
-            raise ValueError("model nested too deeply") from None
+        cont = {parse_ordinal(str(k)): parse_ordinal(str(v)) for k, v in raw.items()}
+        return cls(gch=gch, continuum=cont)
 
     def __repr__(self) -> str:
         if self.gch:
@@ -500,6 +528,9 @@ class PartitionShape:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return PartitionShape, self._values()
+
     def _values(self) -> tuple:
         return (self.kappa, self.full_blocks, self.residue, self.trivial)
 
@@ -606,6 +637,13 @@ def _tokens(text: str) -> list[str]:
     return toks
 
 
+def _exact(res) -> Cardinal:
+    """``res``, refused when the model leaves it an interval."""
+    if isinstance(res, CardinalInterval):
+        raise ValueError(f"subexpression is not determined by the model: {res}")
+    return res
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokens(text)
@@ -689,36 +727,44 @@ class _Parser:
 
     # cardinals --------------------------------------------------------
     def cardinal(self, model: ContinuumModel):
-        tok = self.take()
-        if tok == "fin":
-            self.take("(")
-            k = self.int_()
+        """CARD := 'fin(' INT ')' | 'aleph(' ORD ')' | 'pow(' EXACT ',' EXACT ')'
+        | 'cf(' EXACT ')', where EXACT is a CARD the model determines.
+
+        One loop: ``frames`` holds, for each ``pow(`` or ``cf(`` still open,
+        its name and, once read, the base of the ``pow``.
+        """
+        frames: list[tuple[str, Cardinal | None]] = []
+        while True:
+            tok = self.take()
+            if tok == "pow" or tok == "cf":
+                self.take("(")
+                frames.append((tok, None))
+                continue
+            if tok == "fin":
+                self.take("(")
+                res = fin(self.int_())
+            elif tok == "aleph":
+                self.take("(")
+                res = aleph(self.ordinal())
+            else:
+                raise ValueError(f"expected a cardinal expression, got {tok!r}")
             self.take(")")
-            return fin(k)
-        if tok == "aleph":
-            self.take("(")
-            ix = self.ordinal()
-            self.take(")")
-            return aleph(ix)
-        if tok == "pow":
-            self.take("(")
-            base = self.exact_cardinal(model)
-            self.take(",")
-            exp = self.exact_cardinal(model)
-            self.take(")")
-            return card_pow(base, exp, model)
-        if tok == "cf":
-            self.take("(")
-            c = self.exact_cardinal(model)
-            self.take(")")
-            return card_cofinality(c)
-        raise ValueError(f"expected a cardinal expression, got {tok!r}")
+            # Close the frames this result completes.  The second argument of
+            # a pow is the next cardinal to read.
+            while frames:
+                _exact(res)
+                name, base = frames.pop()
+                if name == "pow" and base is None:
+                    self.take(",")
+                    frames.append((name, res))
+                    break
+                self.take(")")
+                res = card_cofinality(res) if name == "cf" else card_pow(base, res, model)
+            else:
+                return res
 
     def exact_cardinal(self, model: ContinuumModel) -> Cardinal:
-        res = self.cardinal(model)
-        if isinstance(res, CardinalInterval):
-            raise ValueError(f"subexpression is not determined by the model: {res}")
-        return res
+        return _exact(self.cardinal(model))
 
     def shape(self, model: ContinuumModel) -> PartitionShape:
         self.take("shape")
@@ -752,16 +798,13 @@ class _Parser:
 def _parse(text: str, rule):
     """Run ``rule`` on a parser over the whole of ``text``.
 
-    The scan has refused nesting beyond NEST_CAP.  Ordinals are read in a
-    loop, but the cardinal layer recurses on each ``pow``/``cf`` and the
-    Ordinal methods on each nesting level, so a caller whose stack is
-    already deep can still exhaust it: that too is rejected as bad input.
+    The scan has refused nesting beyond NEST_CAP.  Nothing after it
+    recurses: ordinals and the ``pow``/``cf`` layer are each read in a loop,
+    and comparing, hashing and printing an ordinal loop too, so whether a
+    text is answered does not depend on the caller's stack.
     """
     p = _Parser(text)
-    try:
-        res = rule(p)
-    except RecursionError:
-        raise ValueError("expression nested too deeply") from None
+    res = rule(p)
     if p.peek() is not None:
         raise ValueError(f"trailing input near {p.peek()!r}")
     return res

@@ -218,6 +218,9 @@ class KeyframePlan:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return KeyframePlan, (self.k,)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -14,7 +14,7 @@ For n = 3 an exhaustive search settles it.  From n = 4 on a counting
 argument suffices: bottom has C(n, 2) covers while top has 2^(n-1) - 1
 cocovers, the map would have to exchange those two sets bijectively, and
 C(n, 2) < 2^(n-1) - 1 (6 < 7 at n = 4).  This is the test at which the
-pruned search refuses its first pair, top with bottom.  The counting
+search refuses its first pair, top with bottom.  The counting
 witness is offered from n = 5 by choice.
 """
 from __future__ import annotations
@@ -76,7 +76,18 @@ def _cover_counts(p: Partition) -> tuple[int, int]:
             comb(p.block_count, 2))
 
 
-def _search(n: int, pruned: bool) -> dict[Partition, Partition] | None:
+def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partition, Partition] | None:
+    """Backtracking search for an orthocomplementation on Pi_n.
+
+    Candidates are restricted to complement pairs and pruned by cover-count
+    symmetry and order reversal, all of which any valid map must satisfy;
+    completed assignments are verified against the axioms, so a None result
+    means no map exists.  A found map has Pi_n as its keys, in RGS order (the
+    order of ``iter_partitions``).  n <= 4 runs as is; n = 5 only with
+    ``exhaustive=True``.  That gate is a size cap and nothing more.
+    """
+    _check_cap(n, SEARCH_CAP_EXHAUSTIVE if exhaustive else SEARCH_CAP,
+               "orthocomplement search")
     parts = tuple(iter_partitions(n))
     size = len(parts)
     index = {p: i for i, p in enumerate(parts)}
@@ -86,7 +97,7 @@ def _search(n: int, pruned: bool) -> dict[Partition, Partition] | None:
 
     def fits(i: int, j: int) -> bool:
         a, b = parts[i], parts[j]
-        if pruned and _cover_counts(b) != _cover_counts(a)[::-1]:
+        if _cover_counts(b) != _cover_counts(a)[::-1]:
             return False
         # a -> b must reverse the order against every assigned pair x -> fx
         return all((parts[x] <= a) == (b <= parts[fx]) and (a <= parts[x]) == (parts[fx] <= b)
@@ -118,27 +129,6 @@ def _search(n: int, pruned: bool) -> dict[Partition, Partition] | None:
         return None
 
     return assign(0)
-
-
-def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partition, Partition] | None:
-    """Backtracking search for an orthocomplementation on Pi_n.
-
-    Candidates are restricted to complement pairs and pruned by cover-count
-    symmetry and order reversal, all of which any valid map must satisfy;
-    completed assignments are verified against the axioms, so a None result
-    means no map exists.  A found map has Pi_n as its keys, in RGS order (the
-    order of ``iter_partitions``).  n <= 4 runs as is; n = 5 only with
-    ``exhaustive=True``.  That gate is a size cap and nothing more.
-    """
-    _check_cap(n, SEARCH_CAP_EXHAUSTIVE if exhaustive else SEARCH_CAP,
-               "orthocomplement search")
-    return _search(n, pruned=True)
-
-
-def brute_search_orthocomplementation(n: int) -> dict[Partition, Partition] | None:
-    """Unpruned variant (complement pairing only): cross-check oracle."""
-    _check_cap(n, SEARCH_CAP, "unpruned orthocomplement search")
-    return _search(n, pruned=False)
 
 
 class NonOrthoWitness(NamedTuple):

@@ -1,6 +1,8 @@
 """Symbolic ordinals, aleph arithmetic, continuum models, and the expression
 grammar."""
+import copy
 import operator
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -107,9 +109,29 @@ def test_order_against_another_type_is_a_type_error(value, op):
 
 def test_ordinal_equality_is_structural():
     a, b = parse_ordinal("w^(w+1)*2+3"), parse_ordinal("w^(w+1)*2+3")
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert a == a and not a != a
     assert a != parse_ordinal("w^(w+1)*2+4") and a != parse_ordinal("w^(w+2)*2+3")
+
+
+def _twins(value):
+    """``value`` after a pickle round trip at every protocol, a copy and a deep copy."""
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+
+
+def test_ordinal_round_trips_return_the_one_object():
+    for value in (ZERO, ONE, W, parse_ordinal("w^(w+1)*2+3")):
+        for twin in _twins(value):
+            assert twin is value
+
+
+def test_cardinal_round_trips_keep_the_value():
+    for value in (fin(0), fin(7), aleph(0), al("w^(w+1)*2+3")):
+        for twin in _twins(value):
+            assert twin == value and hash(twin) == hash(value) and twin.index is value.index
 
 
 def test_ordinal_addition_absorbs():

@@ -4,11 +4,13 @@
 before ordinals were read in one loop and nesting was capped in the scan,
 kept verbatim as the reference: on every input whose parentheses it can
 reach, the reader must give the same value or the same error text.  The
-cap tests pin NEST_CAP itself: the deepest text answers, one level more is
-refused with one message whatever the caller's stack.
+cap tests pin NEST_CAP itself: the deepest text answers, also from a stack
+only 100 frames below the recursion limit, and one level more is refused
+with one message whatever the caller's stack.
 """
 from __future__ import annotations
 
+import copy
 import json
 import re
 import sys
@@ -350,6 +352,16 @@ def _stack_depth():
     return depth
 
 
+def _on_little_stack(call):
+    """``call()`` under a recursion limit only 100 frames above the caller's depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        return call()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 @pytest.mark.parametrize("form, level", [
     ("w^({})", Ordinal.omega_power),
     ("w^({}+1)+1", lambda o: Ordinal.omega_power(o + ONE) + ONE),
@@ -358,13 +370,25 @@ def test_ordinal_reader_reads_the_cap_without_recursing(form, level):
     text = "1"
     for _ in range(NEST_CAP):
         text = form.format(text)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 100)
-    try:
-        ordinal = parse_ordinal(text)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert ordinal == _built(NEST_CAP, level)
+    assert _on_little_stack(lambda: parse_ordinal(text)) == _built(NEST_CAP, level)
+
+
+@pytest.mark.parametrize("form, outer", FORMS)
+def test_expressions_answer_at_the_cap_on_little_stack(form, outer):
+    # read, evaluated and printed in the same frames at any nesting depth
+    text = form.format(_nested(NEST_CAP - outer))
+    assert _on_little_stack(lambda: str(evaluate(text))) == str(evaluate(text))
+
+
+@pytest.mark.parametrize("head, want", [("cf(", aleph(0)),
+                                        ("pow(fin(2), ", aleph(NEST_CAP - 1))])
+def test_cardinal_chains_answer_at_the_cap_on_little_stack(head, want):
+    levels = NEST_CAP - 1  # aleph( is the last level
+    text = head * levels + "aleph(0)" + ")" * levels
+    assert _depth(text) == NEST_CAP
+    assert _on_little_stack(lambda: evaluate(text)) == want
+    with pytest.raises(ValueError, match=r"^expression nested too deeply$"):
+        evaluate(head + text + ")")
 
 
 def _run_model(capsys, tmp_path, text, frames=0):
@@ -382,6 +406,18 @@ def _model_with_key(depth):
 
 def test_model_key_answers_at_the_cap(capsys, tmp_path):
     assert _run_model(capsys, tmp_path, _model_with_key(NEST_CAP)) == (0, "fin(1)\n", "")
+    assert _on_little_stack(
+        lambda: _run_model(capsys, tmp_path, _model_with_key(NEST_CAP))) == (0, "fin(1)\n", "")
+
+
+def test_deep_ordinals_compare_on_little_stack(capsys, tmp_path):
+    # the two differ only at the innermost level, so comparing walks every level
+    low, high = _nested(NEST_CAP, "1"), _nested(NEST_CAP, "2")
+    a, b = parse_ordinal(low), parse_ordinal(high)
+    assert _on_little_stack(lambda: (a < b, b < a, b >= a)) == (True, False, True)
+    assert _on_little_stack(lambda: copy.deepcopy(b)) is b
+    model = json.dumps({"continuum": {f"{low}+1": f"{high}+1"}})
+    assert _on_little_stack(lambda: _run_model(capsys, tmp_path, model)) == (0, "fin(1)\n", "")
 
 
 def test_model_refused_one_past_the_cap_from_a_deep_stack(capsys, tmp_path):

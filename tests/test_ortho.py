@@ -9,7 +9,6 @@ from pilat import (
     bottom,
     check_ortho_map,
     covers,
-    brute_search_orthocomplementation,
     iter_partitions,
     non_ortho_witness,
     search_orthocomplementation,
@@ -125,18 +124,19 @@ def test_bell_parity_certifies_no_orthocomplementation():
 
 
 def test_pruned_search_agrees_with_unpruned():
-    for n in range(5):
-        fast = search_orthocomplementation(n)
-        slow = brute_search_orthocomplementation(n)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            assert check_ortho_map(fast, n).ok
-            assert check_ortho_map(slow, n).ok
-
-
-def test_brute_search_cap():
-    with pytest.raises(ValueError):
-        brute_search_orthocomplementation(5)
+    """The pruned search against certificates that need no search at all:
+    the axioms accept each found map (n <= 2), Bell parity refutes n = 3, 4
+    and the counting witness n = 5."""
+    for n in range(3):
+        found = search_orthocomplementation(n)
+        assert found is not None and check_ortho_map(found, n).ok
+    bells = _bell_triangle(5)
+    for n in (3, 4):
+        assert bells[n] % 2 == 1
+        assert search_orthocomplementation(n) is None
+    witness = non_ortho_witness(5)
+    assert witness.atom_count < witness.coatom_count
+    assert search_orthocomplementation(5, exhaustive=True) is None
 
 
 def test_found_map_reverses_covering_pairs():
@@ -212,14 +212,6 @@ def test_exhaustive_search_reads_only_the_first_pair(monkeypatch):
 def test_found_map_lists_pi_n_in_rgs_order():
     for n in range(3):
         assert list(search_orthocomplementation(n)) == list(iter_partitions(n))
-
-
-def test_unpruned_search_honours_env_cap(monkeypatch):
-    monkeypatch.setenv("PILAT_MAX_N", "5")
-    assert brute_search_orthocomplementation(5) is None
-    monkeypatch.setenv("PILAT_MAX_N", "3")
-    with pytest.raises(ValueError, match="cap 3"):
-        brute_search_orthocomplementation(4)
 
 
 def test_exhaustive_search_honours_env_cap(monkeypatch):

@@ -13,7 +13,6 @@ from pilat import (
     bell,
     bipartition_antichain,
     bottom,
-    brute_search_orthocomplementation,
     check_ortho_map,
     coatoms,
     comparable,
@@ -590,7 +589,6 @@ SIZED = {
     "search_orthocomplementation": search_orthocomplementation,
     "search_orthocomplementation_exhaustive":
         lambda n: search_orthocomplementation(n, exhaustive=True),
-    "brute_search_orthocomplementation": brute_search_orthocomplementation,
     "hasse": lambda n: _cmd_hasse(argparse.Namespace(n=n, chain=None, antichain=None,
                                                      output=None)),
 }

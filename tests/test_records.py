@@ -2,9 +2,12 @@
 
 The six plain records are NamedTuples; KeyframePlan and PartitionShape,
 which validate their fields, are __slots__ classes.  All eight compare and
-hash by their fields, refuse attribute assignment and deletion, and print
-as ``Name(field=value, ...)``.
+hash by their fields, refuse attribute assignment and deletion, print as
+``Name(field=value, ...)``, and survive pickle, copy and deepcopy.
 """
+import copy
+import pickle
+
 import pytest
 
 from pilat import (AntichainReport, CardinalInterval, ChainBounds, ChainReport, KeyframePlan,
@@ -60,6 +63,8 @@ def test_records_are_immutable_values(cls, make, defaults):
         with pytest.raises(AttributeError):
             mutate()
     assert rec == again
+    for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+        assert type(twin) is cls and twin == rec and repr(twin) == repr(rec)
 
     required = list(fields.values())[:len(fields) - len(defaults)]
     short = cls(*required)
