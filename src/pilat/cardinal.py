@@ -66,10 +66,17 @@ class Ordinal:
         raise AttributeError("Ordinal is immutable")
 
     def __reduce__(self):
-        return Ordinal, (self.terms,)
+        # pickled as its text, which the printer and the reader each handle in
+        # a loop; the reader's scan refuses now what it would refuse at load
+        text = format_ordinal(self)
+        _tokens(text)
+        return parse_ordinal, (text,)
+
+    def __copy__(self):
+        return self  # the one object of its value
 
     def __deepcopy__(self, memo):
-        return self  # the one object of its value; copying its terms would recurse
+        return self
 
     @staticmethod
     def from_int(k: int) -> "Ordinal":

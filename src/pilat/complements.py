@@ -11,13 +11,10 @@ census that counts the complements of every partition of Pi_n (the CLI
 prints the formula beside the counts), and two explicit constructions that
 each produce families of pairwise distinct complements.
 
-The enumerator is the one consumer of ``_frontier``, an iterative
-depth-first walk over the restricted growth strings of Q.  It stops at the
-last element and yields the open blocks of Q with the index list of the
-blocks that element may join (the open-block count meaning a new block),
-one index per complement, and ``enumerate_complements`` builds one
-partition per index.  The yielded block list is live, so a consumer copies
-it before the walk's next step.
+The enumerator is one iterative depth-first walk over the restricted
+growth strings of Q, pruned by the meet and join conditions as it goes.
+It stops at the last element and appends one complement per block that
+element may join.
 
 The census visits no candidate Q.  Relabelling the ground set maps
 complements to complements, so a partition's two counts depend only on its
@@ -50,8 +47,8 @@ def is_complement(p: Partition, q: Partition) -> bool:
     return len(_join_masks(p.n, p.masks + q.masks)) <= 1
 
 
-def _frontier(p: Partition) -> Iterator[tuple[list[int], list[int]]]:
-    """The live nodes of the complement walk at the last element, in RGS order.
+def enumerate_complements(p: Partition) -> list[Partition]:
+    """All complements of p, by pruned backtracking, in RGS order.
 
     It prunes the walk of ``iter_partitions`` (see ``enumeration``): one
     iterative depth-first walk visits the restricted growth strings of the
@@ -63,21 +60,19 @@ def _frontier(p: Partition) -> Iterator[tuple[list[int], list[int]]]:
     undone on the way back, and a branch dies as soon as the remaining
     placements cannot reach one piece.
 
-    The walk stops one level short of the leaves.  When elements 0..n-2 are
-    placed and a complement can still be reached, it yields ``(qmask,
-    idx)``: ``qmask`` holds the elements of each open block of Q, and
-    ``idx`` lists, in ascending order, the blocks the last element n - 1
-    may join to finish a complement, where ``len(qmask)`` means a new
-    block.  Each index is one complement, so ``idx`` is never empty.  The
-    ``qmask`` list is live: the walk changes it in place when the consumer
-    asks for the next node, so a consumer that keeps it copies it first.
-    Needs n >= 1.
+    The walk stops one level short of the leaves: with elements 0..n-2
+    placed, it builds one complement per block the last element may join,
+    each eligible open block in order and then a new block.
     """
     n = p.n
+    _check_cap(n, COMPLEMENT_CAP, "complement enumeration")
+    if n == 0:
+        return [_trusted(0, ())]
     last = n - 1
     pblock = p.labels
     lastblock = pblock[last]
     lastbit = 1 << lastblock
+    lastelem = 1 << last      # the last element in a block mask of Q
     parent = list(range(p.block_count))  # union-find over p's blocks
     pieces = p.block_count    # its roots: the pieces Q's prefix has not yet joined
     absorbed = [-1] * n       # absorbed[e]: the root that placing e joined to another, or -1
@@ -86,6 +81,7 @@ def _frontier(p: Partition) -> Iterator[tuple[list[int], list[int]]]:
     qused: list[int] = []     # bitmask of p-block indices present in it
     qanchor: list[int] = []   # p-block of the block's first element
     k = 0                     # len(qmask): the open blocks
+    out: list[Partition] = []
     e, j = 0, 0               # place element e into block j next
     while True:
         if e == last:
@@ -93,21 +89,24 @@ def _frontier(p: Partition) -> Iterator[tuple[list[int], list[int]]]:
             # block without its p-block will do, and so will a new block;
             # with two, only a block of the other piece
             if pieces == 1:
-                idx = [i for i in range(k) if not qused[i] & lastbit]
-                idx.append(k)
-                yield qmask, idx
+                for i in range(k):
+                    if not qused[i] & lastbit:
+                        masks = qmask.copy()
+                        masks[i] |= lastelem
+                        out.append(_trusted(n, masks))
+                out.append(_trusted(n, [*qmask, lastelem]))
             elif pieces == 2:
                 r = lastblock
                 while parent[r] != r:
                     r = parent[r]
-                idx = []
                 for i in range(k):
                     a = qanchor[i]
                     while parent[a] != a:
                         a = parent[a]
                     if a != r:
-                        idx.append(i)
-                yield qmask, idx
+                        masks = qmask.copy()
+                        masks[i] |= lastelem
+                        out.append(_trusted(n, masks))
         elif pieces - 1 <= n - e:  # else the remaining placements cannot connect the pieces
             pb = pblock[e]
             bit = 1 << pb
@@ -139,7 +138,7 @@ def _frontier(p: Partition) -> Iterator[tuple[list[int], list[int]]]:
         # every block for element e is done: back up to element e - 1
         e -= 1
         if e < 0:
-            return
+            return out
         j = label[e]
         if qmask[j] == 1 << e:  # e opened block j, the last one
             qmask.pop()
@@ -154,30 +153,6 @@ def _frontier(p: Partition) -> Iterator[tuple[list[int], list[int]]]:
                 parent[root] = root
                 pieces += 1
         j += 1
-
-
-def enumerate_complements(p: Partition) -> list[Partition]:
-    """All complements of p, by pruned backtracking, in RGS order.
-
-    Each node that ``_frontier`` yields becomes one complement per index:
-    the last element joins that open block, or opens a new one.
-    """
-    n = p.n
-    _check_cap(n, COMPLEMENT_CAP, "complement enumeration")
-    if n == 0:
-        return [_trusted(0, ())]
-    bit = 1 << (n - 1)
-    out: list[Partition] = []
-    for qmask, idx in _frontier(p):
-        k = len(qmask)
-        for j in idx:
-            if j == k:
-                out.append(_trusted(n, [*qmask, bit]))
-            else:
-                masks = qmask.copy()
-                masks[j] |= bit
-                out.append(_trusted(n, masks))
-    return out
 
 
 def grieser_count(p: Partition) -> int:

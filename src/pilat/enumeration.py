@@ -22,8 +22,8 @@ one is a leaf.  The walk has two consumers:
   and the leaf that puts n - 1 into block j inserts " n-1" at the end of
   block j's text, n - 1 being the largest element.
 
-``complements._frontier`` and ``antichains._incomparable`` are two pruned
-copies of this walk, each with its own per-step state.
+``complements.enumerate_complements`` and ``antichains._incomparable`` are
+two pruned copies of this walk, each with its own per-step state.
 """
 from __future__ import annotations
 

@@ -113,11 +113,7 @@ def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partit
         i = order[pos]
         for q in enumerate_complements(parts[i]):
             j = index[q]
-            if image[j] >= 0 and j != i:
-                continue
-            if j == i and size > 1:
-                continue  # a = a' forces a = bottom = top
-            if not fits(i, j):
+            if image[j] >= 0 or not fits(i, j):
                 continue
             image[i] = j
             image[j] = i

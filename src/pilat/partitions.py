@@ -271,6 +271,7 @@ class Partition:
         return other <= self
 
     def __gt__(self, other: "Partition") -> bool:
+        self._check_ground(other)
         return self != other and other <= self
 
     def __and__(self, other: "Partition") -> "Partition":

@@ -390,6 +390,14 @@ def test_model_round_trips_through_json():
         ContinuumModel.from_json({"continum": {"1": "3"}})
 
 
+
+def test_model_repr_lists_its_pins_in_order():
+    assert repr(GCH) == "ContinuumModel[GCH]"
+    assert repr(ContinuumModel(continuum={1: 3, 0: 2})) == (
+        "ContinuumModel[2^aleph(0) = aleph(2), 2^aleph(1) = aleph(3)]")
+    assert repr(ContinuumModel()) == "ContinuumModel[empty]"
+
+
 # -------------------------------------------------------- sums and products
 
 def test_sum_family_is_max():

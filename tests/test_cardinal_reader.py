@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import pickle
 import re
 import sys
 
@@ -418,6 +419,30 @@ def test_deep_ordinals_compare_on_little_stack(capsys, tmp_path):
     assert _on_little_stack(lambda: copy.deepcopy(b)) is b
     model = json.dumps({"continuum": {f"{low}+1": f"{high}+1"}})
     assert _on_little_stack(lambda: _run_model(capsys, tmp_path, model)) == (0, "fin(1)\n", "")
+
+
+def test_deep_ordinals_pickle_at_the_cap():
+    # two levels more than the cap: w^1 and w^w print without parentheses
+    deep = _built(NEST_CAP + 2, Ordinal.omega_power)
+    assert _depth(format_ordinal(deep)) == NEST_CAP
+    card = aleph(deep)
+    # each value with the path from it to the deep ordinal
+    for value, inner in [(deep, lambda v: v),
+                         (card, lambda v: v.index),
+                         (CardinalInterval(card, None), lambda v: v.lo.index),
+                         (PartitionShape(kappa=card, full_blocks=1, residue=card),
+                          lambda v: v.kappa.index)]:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            twin = pickle.loads(pickle.dumps(value, protocol))
+            assert twin == value and inner(twin) is deep
+
+
+def test_ordinals_past_the_cap_copy_but_do_not_pickle():
+    deep = _built(1000, Ordinal.omega_power)
+    with pytest.raises(ValueError, match=r"^expression nested too deeply$"):
+        pickle.dumps(deep)
+    assert copy.copy(deep) is deep
+    assert copy.deepcopy(deep) is deep
 
 
 def test_model_refused_one_past_the_cap_from_a_deep_stack(capsys, tmp_path):

@@ -26,7 +26,7 @@ from pilat import (
     split_transversal_family,
     top,
 )
-from pilat.complements import _complement_counts, _frontier
+from pilat.complements import COMPLEMENT_CAP, _complement_counts
 from oracles import naive_complements
 from strats import partitions
 from test_census_closed_form import complement_total
@@ -117,35 +117,6 @@ def test_complement_walk_is_not_recursive(monkeypatch):
     n = 1100
     assert enumerate_complements(top(n)) == [bottom(n)]
     assert enumerate_complements(bottom(n)) == [top(n)]
-
-
-def _frontier_nodes(p):
-    # the walk's qmask list is live, so each node is copied as it arrives
-    return [(list(qmask), list(idx)) for qmask, idx in _frontier(p)]
-
-
-def test_frontier_nodes_of_two_pairs():
-    # after 0 2|1, element 3 joins {1} or opens a block: six complements in RGS order
-    assert _frontier_nodes(P("0 1|2 3", 4)) == [
-        ([0b0101, 0b0010], [1, 2]),
-        ([0b0001, 0b0110], [0, 2]),
-        ([0b0001, 0b0010, 0b0100], [0, 1]),
-    ]
-
-
-@pytest.mark.parametrize("p,nodes,indices", [
-    (P("0 1|2 3", 4), 3, 6),
-    (P("0 1 2|3 4|5", 6), 12, 42),
-    (bottom(6), 1, 1),
-    (top(6), 1, 1),
-])
-def test_frontier_counts_are_pinned(p, nodes, indices):
-    # a prefix that completes no complement yields no node, so an empty
-    # index list, or more nodes, means the last-element test has weakened
-    got = _frontier_nodes(p)
-    assert len(got) == nodes
-    assert sum(len(idx) for _, idx in got) == indices == len(enumerate_complements(p))
-    assert all(idx and idx == sorted(set(idx)) for _, idx in got)
 
 
 def test_enumeration_cap():
@@ -371,30 +342,42 @@ def test_complements_are_invariant_under_relabelling(p_sigma):
 
 
 def _walk_census(n):
-    """The census counted from the walk's nodes: no complement is built.
+    """The census counted from the complements the walk lists.
 
-    A node with k open blocks finishes a complement with k blocks per index
-    below k, and one with k + 1 blocks if k is listed.  No complement has
-    more than n - m + 1 blocks (joining p's m blocks takes at least m - 1
-    merges), so when k is the target every index counts.
+    No complement has more than n - m + 1 blocks (joining p's m blocks
+    takes at least m - 1 merges), so that is the target block count.
     """
     for p in iter_partitions(n):
+        got = enumerate_complements(p)
         target = n - p.block_count + 1
-        total = count_nm1 = 0
-        for qmask, idx in _frontier(p):
-            total += len(idx)
-            k = len(qmask)
-            if k == target:
-                count_nm1 += len(idx)
-            elif k + 1 == target and idx[-1] == k:
-                count_nm1 += 1
-        yield p, total, count_nm1
+        yield p, len(got), sum(q.block_count == target for q in got)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_census_matches_the_walk(n):
     # the counts from block sizes against the complement walk, row for row
     assert list(complement_census(n)) == list(_walk_census(n))
+
+
+def _one_partition_per_shape(n):
+    # the first partition of each block shape in RGS order
+    shapes = {}
+    for p in iter_partitions(n):
+        shapes.setdefault(p.block_sizes, p)
+    return list(shapes.values())
+
+
+@pytest.mark.parametrize("p", [*_one_partition_per_shape(8),
+                               P("0 1|2 3|4 5|6 7|8 9|10", COMPLEMENT_CAP)], ids=str)
+def test_walk_lists_what_the_block_sizes_count(p):
+    # past n = 7 the walk is checked against the transfer: as many
+    # complements, as many with n - m + 1 blocks, and no complement twice
+    target = p.n - p.block_count + 1
+    got = enumerate_complements(p)
+    total, count_nm1 = _complement_counts(p.block_sizes, target)
+    assert len(got) == total
+    assert sum(q.block_count == target for q in got) == count_nm1
+    assert len(set(got)) == total
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 
 from pilat import (
     NonOrthoWitness,
+    OrthoReport,
     Partition,
     bottom,
     check_ortho_map,
@@ -57,6 +58,15 @@ def test_non_involution_violates_de_morgan_first():
     assert not report.ok
     assert report.violated_axiom == "iii"
     assert report.witness == (m2, m3)
+
+
+def test_de_morgan_map_that_is_no_involution():
+    # The three middles of Pi_3 in a 3-cycle: every middle goes to a
+    # complement and each meet of two middles is bottom, so axioms i-iii
+    # hold and only the involution fails (paper VI).
+    m1, m2, m3 = P("0 1|2", 3), P("0 2|1", 3), P("0|1 2", 3)
+    mapping = {top(3): bottom(3), bottom(3): top(3), m1: m2, m2: m3, m3: m1}
+    assert check_ortho_map(mapping, 3) == OrthoReport(False, "iv", m1)
 
 
 def test_check_requires_total_map():

@@ -2,6 +2,7 @@
 import argparse
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -73,6 +74,19 @@ def test_parse_rejects_bad_input():
         Partition.parse("0 x", 2)
     with pytest.raises(ValueError):
         Partition.parse("", 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Partition(3, [0b011, 0b110]), "blocks must be disjoint and cover 0..n-1"),
+    (lambda: Partition(2, [0b01]), "blocks must be disjoint and cover 0..n-1"),
+    (lambda: Partition(2, [0, 0b11]), "empty block"),
+    (lambda: Partition(2, [-1, 0b11]), "empty block"),
+    (lambda: Partition.from_blocks(2, [[0, 1], []]), "empty block"),
+    (lambda: Partition.from_blocks(2, [["0", 1]]), "element '0' is not an integer"),
+])
+def test_constructors_refuse_bad_blocks(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_from_labels_canonicalizes():
@@ -175,7 +189,7 @@ def test_diag_preserves_subset_order():
 MEMBER_SETS = {
     "str": lambda: diag(["a"], 4),
     "float": lambda: diag([0.5, 1], 4),
-    "bool": lambda: diag([True, 2], 4),  # from_blocks refuses True as element 1
+    "bool": lambda: diag([True, 2], 4),  # _members_mask refuses True as element 1
     "lift": lambda: lift_subset_chain([[0, "x"]], 4),
 }
 
@@ -234,6 +248,15 @@ def test_mixed_ground_sets_rejected():
     with pytest.raises(ValueError, match="ground"):
         meet(bottom(3), bottom(4))
 
+
+@pytest.mark.parametrize("compare", [
+    lambda p, q: p < q, lambda p, q: p <= q, lambda p, q: p > q, lambda p, q: p >= q,
+])
+def test_order_reports_the_left_ground_first(compare):
+    with pytest.raises(ValueError, match="^ground-set mismatch: 2 vs 3$"):
+        compare(bottom(2), bottom(3))
+    with pytest.raises(TypeError, match="^expected a Partition, got int$"):
+        compare(bottom(2), 3)
 
 
 def _reference_leq(p, q):
@@ -552,6 +575,12 @@ def test_ground_cap_env_override(monkeypatch):
     with pytest.raises(ValueError, match="outside 0..3"):
         bottom(4)
     assert bottom(3).n == 3
+
+
+def test_ground_cap_env_must_be_non_negative(monkeypatch):
+    monkeypatch.setenv("PILAT_MAX_N", "-1")
+    with pytest.raises(ValueError, match="^PILAT_MAX_N must be non-negative, got -1$"):
+        bottom(0)
 
 
 def test_from_blocks_checks_the_size_first():
