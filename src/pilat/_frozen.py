@@ -1,0 +1,41 @@
+"""The one immutability guard of the package's value classes.
+
+``Frozen`` refuses attribute assignment and deletion, so a value shared
+across a process (an interned ordinal, ``ALEPH0``, the model ``GCH``, a
+partition used as a dict key) cannot change in place.  Constructors write
+with ``object.__setattr__``, or through the instance ``__dict__``.
+``FrozenRecord`` reads equality (same class only), hashing, pickling and
+the repr ``Name(field=value, ...)`` off its ``__slots__``, which the
+constructor takes positionally in that order.
+"""
+
+
+class Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class FrozenRecord(Frozen):
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

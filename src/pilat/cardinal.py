@@ -24,7 +24,10 @@ needs does not grow with the nesting.
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
+
+from ._frozen import Frozen, FrozenRecord
 
 
 def _is_int(x: object) -> bool:
@@ -34,7 +37,7 @@ def _is_int(x: object) -> bool:
 _INTERNED: dict[tuple, "Ordinal"] = {}  # terms -> the one Ordinal with those terms
 
 
-class Ordinal:
+class Ordinal(Frozen):
     """An ordinal below epsilon_0 in Cantor normal form (immutable).
 
     Each value is one object: construction returns the instance already
@@ -61,9 +64,6 @@ class Ordinal:
             object.__setattr__(self, "terms", terms)
             self = _INTERNED.setdefault(terms, self)
         return self
-
-    def __setattr__(self, *_):
-        raise AttributeError("Ordinal is immutable")
 
     def __reduce__(self):
         # pickled as its text, which the printer and the reader each handle in
@@ -220,8 +220,8 @@ def format_ordinal(o: Ordinal) -> str:
     return "".join(out)
 
 
-class Cardinal:
-    """A finite cardinal or an aleph with a CNF ordinal index."""
+class Cardinal(FrozenRecord):
+    """A finite cardinal or an aleph with a CNF ordinal index (immutable)."""
 
     __slots__ = ("finite", "index")
 
@@ -237,12 +237,6 @@ class Cardinal:
         object.__setattr__(self, "finite", finite)
         object.__setattr__(self, "index", index)
 
-    def __setattr__(self, *_):
-        raise AttributeError("Cardinal is immutable")
-
-    def __reduce__(self):
-        return Cardinal, (self.finite, self.index)
-
     @property
     def is_finite(self) -> bool:
         return self.finite is not None
@@ -257,34 +251,25 @@ class Cardinal:
             return (0, self.finite)
         return (1, self.index)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cardinal):
-            return NotImplemented
-        return self.finite == other.finite and self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash((self.finite, self.index))
-
     def __lt__(self, other: "Cardinal") -> bool:
         if not isinstance(other, Cardinal):
             return NotImplemented
-        ka, kb = self._key(), other._key()
-        return ka[0] < kb[0] or (ka[0] == kb[0] and ka[1] < kb[1])
+        return self._key() < other._key()
 
     def __le__(self, other: "Cardinal") -> bool:
         if not isinstance(other, Cardinal):
             return NotImplemented
-        return self == other or self < other
+        return self._key() <= other._key()
 
     def __gt__(self, other: "Cardinal") -> bool:
         if not isinstance(other, Cardinal):
             return NotImplemented
-        return other < self
+        return self._key() > other._key()
 
     def __ge__(self, other: "Cardinal") -> bool:
         if not isinstance(other, Cardinal):
             return NotImplemented
-        return other <= self
+        return self._key() >= other._key()
 
     def successor(self) -> "Cardinal":
         if self.is_finite:
@@ -339,25 +324,27 @@ class CardinalInterval(NamedTuple):
         return f"interval[{format_cardinal(self.lo)}, {hi}]"
 
 
-class ContinuumModel:
-    """GCH, or finitely many pinned values of 2^kappa at regular kappa.
+class ContinuumModel(Frozen):
+    """GCH, or finitely many pinned values of 2^kappa at regular kappa (immutable).
 
     A custom assignment {i: j} reads 2^aleph_i = aleph_j.  Construction
     rejects assignments at singular indices, non-monotone assignments, and
-    assignments violating cf(2^kappa) > kappa.
+    assignments violating cf(2^kappa) > kappa.  ``continuum`` is a read-only
+    view of the validated assignment, in ascending order of its keys.
     """
+
+    __slots__ = ("gch", "continuum")
 
     def __init__(self, gch: bool = False,
                  continuum: Mapping[Ordinal | int, Ordinal | int] | None = None):
         if not isinstance(gch, bool):
             raise TypeError(f"gch must be a bool, not {type(gch).__name__}")
-        self.gch = gch
         entries = {_ordinal(k): _ordinal(v) for k, v in (continuum or {}).items()}
         if gch and entries:
             raise ValueError("GCH leaves nothing to pin")
-        self.continuum = dict(sorted(entries.items(), key=lambda kv: kv[0]))
+        pins = dict(sorted(entries.items(), key=lambda kv: kv[0]))
         prev_value: Ordinal | None = None
-        for k, v in self.continuum.items():
+        for k, v in pins.items():
             base = aleph(k)
             if not base.is_regular:
                 raise ValueError(f"2^{base} can only be pinned at a regular cardinal")
@@ -367,6 +354,11 @@ class ContinuumModel:
             if prev_value is not None and v < prev_value:
                 raise ValueError("assignment is not monotone")
             prev_value = v
+        object.__setattr__(self, "gch", gch)
+        object.__setattr__(self, "continuum", MappingProxyType(pins))
+
+    def __reduce__(self):
+        return type(self), (self.gch, dict(self.continuum))
 
     @classmethod
     def from_json(cls, data: dict) -> "ContinuumModel":
@@ -494,7 +486,7 @@ def card_tarski_product(index_count: Cardinal, term_sup: Cardinal,
     return card_pow(term_sup, index_count, model)
 
 
-class PartitionShape:
+class PartitionShape(FrozenRecord):
     """What the complement count of a partition of an infinite set sees.
 
     ``kappa``: size of the ground set.  ``full_blocks``: how many blocks
@@ -529,29 +521,6 @@ class PartitionShape:
         object.__setattr__(self, "full_blocks", full_blocks)
         object.__setattr__(self, "residue", residue)
         object.__setattr__(self, "trivial", trivial)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PartitionShape is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return PartitionShape, self._values()
-
-    def _values(self) -> tuple:
-        return (self.kappa, self.full_blocks, self.residue, self.trivial)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(kappa={self.kappa!r}, full_blocks={self.full_blocks!r}, "
-                f"residue={self.residue!r}, trivial={self.trivial!r})")
 
 
 def complement_count_symbolic(shape: PartitionShape, model: ContinuumModel = GCH):
@@ -621,6 +590,34 @@ _ALPHABET = re.compile(r"[a-z0-9()+*^,=\s]*")
 _TOKEN = re.compile(r"[a-z]+|[0-9]+|[()+*^,=]")
 
 
+def _nests_past_cap(text: str, opens: str, closes: str, quote: str | None = None) -> bool:
+    """Whether the brackets of ``text`` nest more than NEST_CAP deep: the one
+    scan of the cap, for expressions and JSON model files.  It runs only past
+    NEST_CAP openers, and skips the insides of ``quote`` strings, where a
+    backslash escapes the next character."""
+    if sum(map(text.count, opens)) <= NEST_CAP:
+        return False
+    depth = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == quote:
+                in_string = False
+        elif ch == quote:
+            in_string = True
+        elif ch in opens:
+            depth += 1
+            if depth > NEST_CAP:
+                return True
+        elif ch in closes:
+            depth -= 1
+    return False
+
+
 def _tokens(text: str) -> list[str]:
     """The tokens of ``text`` followed by a ``None`` end marker.
 
@@ -630,15 +627,8 @@ def _tokens(text: str) -> list[str]:
     end = _ALPHABET.match(text).end()
     if end < len(text):
         raise ValueError(f"bad character {text[end]!r}")
-    if text.count("(") > NEST_CAP:
-        depth = 0
-        for ch in text:
-            if ch == "(":
-                depth += 1
-                if depth > NEST_CAP:
-                    raise ValueError("expression nested too deeply")
-            elif ch == ")":
-                depth -= 1
+    if _nests_past_cap(text, "(", ")"):
+        raise ValueError("expression nested too deeply")
     toks = _TOKEN.findall(text)
     toks.append(None)
     return toks

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from ._frozen import FrozenRecord
 from .partitions import (Partition, _BlockMasks, _check_cap, _checked_members, _members_mask,
                          _parse_many, _refines, _tiles, _trusted, _with_singletons, bottom,
                          covers, ground_cap, top)
@@ -194,8 +195,8 @@ def lift_subset_chain(sets: Sequence[Iterable[int]], n: int) -> list[Partition]:
     return [_with_singletons(n, [m]) for m in masks]
 
 
-class KeyframePlan:
-    """Dyadic splitting plan on n = 2^k elements.
+class KeyframePlan(FrozenRecord):
+    """Dyadic splitting plan on n = 2^k elements (immutable).
 
     Element e corresponds to the big-endian k-bit string of e.  The level-d
     keyframe groups elements by their first d bits, giving 2^d blocks of
@@ -212,25 +213,6 @@ class KeyframePlan:
         if not 0 <= k < cap.bit_length():  # 0 <= k and 2^k <= cap
             raise ValueError(f"k={k} needs 2^k elements within the ground cap {cap}")
         object.__setattr__(self, "k", k)
-
-    def __setattr__(self, *_):
-        raise AttributeError("KeyframePlan is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return KeyframePlan, (self.k,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self.k,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(k={self.k!r})"
 
     @property
     def n(self) -> int:

@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, chains, antichains, complements, ortho, cardinal,
 hasse.  Exit codes: 0 success, 1 a requested verification came back false,
-2 usage errors (bad flags, malformed input, caps exceeded).  Output is
+2 usage errors (bad flags, malformed input, caps exceeded) or a failed
+write.  Output is
 deterministic byte for byte; the PILAT_MAX_N environment variable replaces
 the built-in size caps.
 
@@ -15,7 +16,8 @@ only produces lines.  ``main`` is the one writer: after the handler has
 returned, it opens ``--output`` when that option is set, otherwise it uses
 stdout, and writes the lines, each ending in a newline, in chunks of
 ``_CHUNK`` lines.  A handler that raises has written nothing, so exit 2
-leaves stdout empty and no ``--output`` file is opened.
+leaves stdout empty and no ``--output`` file is opened.  A write that fails
+also exits 2, and what was written before it stays.
 
 A partition file (``chains verify FILE``, ``hasse --chain``/``--antichain``)
 holds one literal per non-blank line over {0..n-1}, where n is the first
@@ -148,32 +150,6 @@ def _cmd_ortho(args) -> tuple[int, list[str]]:
     return 0, ["found", *(f"{text[a]} -> {text[b]}" for a, b in found.items())]
 
 
-def _json_nests_past_cap(text: str) -> bool:
-    """Whether the arrays and objects of JSON ``text`` nest more than
-    ``cardinal.NEST_CAP`` deep: one scan, which skips the insides of strings."""
-    if text.count("[") + text.count("{") <= card.NEST_CAP:
-        return False
-    depth = 0
-    in_string = escaped = False
-    for ch in text:
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "[" or ch == "{":
-            depth += 1
-            if depth > card.NEST_CAP:
-                return True
-        elif ch == "]" or ch == "}":
-            depth -= 1
-    return False
-
-
 def _load_model(source: str) -> card.ContinuumModel:
     """GCH, or the model in a JSON file; an error in the file names it.
 
@@ -184,7 +160,7 @@ def _load_model(source: str) -> card.ContinuumModel:
     with open(source, encoding="utf-8") as fh:
         try:
             text = fh.read()
-            if _json_nests_past_cap(text):
+            if card._nests_past_cap(text, "[{", "]}", quote='"'):
                 raise ValueError("JSON nested too deeply")
             return card.ContinuumModel.from_json(json.loads(text))
         except RecursionError:

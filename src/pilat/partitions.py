@@ -25,11 +25,15 @@ masks)``, ``Partition.parse``, ``from_blocks``, ``from_labels`` and
 ``from_json`` check their input in full.  Partitions the package derives
 itself are built by ``_trusted(n, masks)``, which sorts, checks and reads
 nothing: its masks must be non-empty, disjoint, cover 0..n-1 and be sorted
-by least element, and n must already have been checked.
+by least element, and n must already have been checked.  A partition is
+``_frozen.Frozen``, so ``_trusted`` and ``__init__`` write ``n`` and
+``masks`` into the instance ``__dict__``, as ``cached_property`` does,
+which is cheaper than ``object.__setattr__``.
 
 Sizes follow one rule.  Every function that takes a size n from a caller
-makes one call to ``_check_cap(n, default, what)``, which refuses any n
-outside 0..cap.  The cap is the function's default (the ground cap of 128
+makes one call to ``_check_cap(n, default, what)``, which refuses an n that
+is not an int (a bool included) with a TypeError, and then any n outside
+0..cap.  The cap is the function's default (the ground cap of 128
 for the constructors, ``bottom``, ``top``, ``diag``, ``atoms``, ``coatoms``,
 ``lift_subset_chain``, ``doubleton_antichain``, ``bipartition_antichain``
 and ``non_ortho_witness``, a smaller one for each exhaustive operation),
@@ -41,6 +45,8 @@ from __future__ import annotations
 import os
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
+
+from ._frozen import Frozen
 
 DEFAULT_GROUND_CAP = 128
 _CAP_ENV = "PILAT_MAX_N"
@@ -66,7 +72,10 @@ def ground_cap() -> int:
 
 
 def _check_cap(n: int, default: int, what: str) -> None:
-    """Refuse n outside 0..cap, where PILAT_MAX_N replaces the default cap."""
+    """Refuse an n that is no int or a bool, then n outside 0..cap, where
+    PILAT_MAX_N replaces the default cap."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"{what} size must be an int: n={n!r}")
     cap = effective_cap(default)
     if not 0 <= n <= cap:
         raise ValueError(f"{what} cap {cap}: n={n} outside 0..{cap}")
@@ -143,7 +152,7 @@ def _join_masks(n: int, masks: Iterable[int]) -> list[int]:
     return _group(find(e) for e in range(n))
 
 
-class Partition:
+class Partition(Frozen):
     """An immutable set partition of {0..n-1} in canonical block order."""
 
     def __init__(self, n: int, masks: Iterable[int]):
@@ -158,8 +167,7 @@ class Partition:
             count += m.bit_count()
         if union != (1 << n) - 1 or count != n:
             raise ValueError("blocks must be disjoint and cover 0..n-1")
-        self.n = n
-        self.masks = blocks
+        self.__dict__.update(n=n, masks=blocks)
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -346,8 +354,9 @@ def _checked_members(members: Iterable[object], n: int) -> list[Partition]:
 def _trusted(n: int, masks: Iterable[int]) -> Partition:
     """Partition from canonical masks, unchecked (see the module docstring)."""
     p = object.__new__(Partition)
-    p.n = n
-    p.masks = tuple(masks)
+    fields = p.__dict__
+    fields["n"] = n
+    fields["masks"] = tuple(masks)
     return p
 
 

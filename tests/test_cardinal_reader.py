@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from pilat.cardinal import (GCH, NEST_CAP, OMEGA, ONE, Cardinal, CardinalInterval,
                             ContinuumModel, Ordinal, PartitionShape, aleph, card_cofinality,
                             card_pow, complement_count_symbolic, evaluate, fin, format_ordinal,
-                            parse_ordinal)
+                            parse_ordinal, _nests_past_cap)
 from pilat.cli import main
 from test_cli_contract import expressions, ordinals as ordinal_texts
 
@@ -467,3 +467,21 @@ def test_model_file_within_the_cap_keeps_the_decoders_message(capsys, tmp_path):
         text = json.dumps({"continuum": {}, "x": inside})
         assert _run_model(capsys, tmp_path, text) == (
             2, "", "error: MODEL: unknown model key 'x'\n")
+
+
+@pytest.mark.parametrize("opens, closes, quote", [("(", ")", None), ("[{", "]}", '"')],
+                         ids=["expression", "JSON"])
+def test_one_scan_guards_the_cap(opens, closes, quote):
+    def past(text):
+        return _nests_past_cap(text, opens, closes, quote)
+
+    for o, c in zip(opens, closes):
+        assert not past(o * NEST_CAP + c * NEST_CAP)
+        assert past(o * (NEST_CAP + 1))
+        assert not past((o + c) * 1000)  # many openers, never deep
+    if quote is None:
+        assert past('"' + "(" * (NEST_CAP + 1))  # no strings to skip
+    else:
+        assert not past('"' + opens * NEST_CAP + '"' + opens[0] * NEST_CAP)
+        assert not past('"\\"' + opens[0] * (NEST_CAP + 1))  # an escaped quote ends no string
+        assert past('"\\\\"' + opens[0] * (NEST_CAP + 1))  # an escaped backslash does not

@@ -1,10 +1,12 @@
 """Command-line interface: output formats, exit codes, determinism."""
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -831,6 +833,39 @@ def test_output_file_untouched_on_exit_2(capsys, tmp_path, argv):
     rc, out, _ = run(capsys, *argv, "--output", str(target))
     assert rc == 2 and out == ""
     assert target.read_bytes() == b"kept\n"
+
+
+# Runs main in a child whose files may not grow past a size limit; SIGXFSZ is
+# ignored, so a write past the limit fails with EFBIG instead of killing it.
+FSIZE_PROBE = """
+import resource, signal, sys
+sys.path.insert(0, sys.argv[1])
+limit = int(sys.argv[2])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+from pilat.cli import main
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
+def test_failed_write_exits_2_with_part_of_the_output(capsys, tmp_path):
+    # README: exit 2 also covers a write that fails, after which the --output
+    # file may hold part of the output and no longer its old bytes
+    rc, listing, _ = run(capsys, "enumerate", "--n", "10")
+    assert rc == 0
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old bytes\n" * 100)
+    limit = 100_000
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", FSIZE_PROBE, src, str(limit),
+                           "enumerate", "--n", "10", "--output", str(target)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    written = target.read_bytes()
+    assert 0 < len(written) <= limit < len(listing)
+    assert listing.encode("utf-8").startswith(written)
 
 
 # The listings main writes as they are built; each refuses before its first line.

@@ -637,6 +637,15 @@ def test_every_size_cap_follows_one_rule(monkeypatch, name):
             SIZED[name](n)
 
 
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_every_size_must_be_an_int(monkeypatch, name):
+    # the type is refused before PILAT_MAX_N is read
+    monkeypatch.setenv("PILAT_MAX_N", "x")
+    for n in (True, False, 2.5, "3"):
+        with pytest.raises(TypeError, match=rf"size must be an int: n={re.escape(repr(n))}$"):
+            SIZED[name](n)
+
+
 @pytest.mark.parametrize("name", sorted(ON_PARTITION))
 def test_every_partition_cap_follows_one_rule(monkeypatch, name):
     p = bottom(4)

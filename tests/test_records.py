@@ -1,17 +1,27 @@
-"""Value semantics of the package's record classes.
+"""Value semantics of the package's record and value classes.
 
 The six plain records are NamedTuples; KeyframePlan and PartitionShape,
-which validate their fields, are __slots__ classes.  All eight compare and
-hash by their fields, refuse attribute assignment and deletion, print as
-``Name(field=value, ...)``, and survive pickle, copy and deepcopy.
+which validate their fields, are __slots__ classes on ``_frozen.FrozenRecord``.
+All eight compare and hash by their fields, refuse attribute assignment and
+deletion, print as ``Name(field=value, ...)``, and survive pickle, copy and
+deepcopy.
+
+Six value classes take their immutability from ``_frozen.Frozen``: Ordinal,
+Cardinal, PartitionShape, KeyframePlan, Partition and ContinuumModel.  Each
+refuses assignment, a new attribute and deletion, and the process-wide
+values ONE, ALEPH0 and GCH answer as before after every refused attempt.
+ContinuumModel's ``continuum`` is a read-only mapping, and the model
+survives pickle at every protocol, copy and deepcopy.
 """
 import copy
 import pickle
 
 import pytest
 
-from pilat import (AntichainReport, CardinalInterval, ChainBounds, ChainReport, KeyframePlan,
-                   NonOrthoWitness, OrthoReport, Partition, PartitionShape, aleph)
+from pilat import (ALEPH0, GCH, AntichainReport, CardinalInterval, ChainBounds, ChainReport,
+                   ContinuumModel, KeyframePlan, NonOrthoWitness, OrthoReport, Partition,
+                   PartitionShape, aleph, bottom, fin, parse_ordinal, power_of_two)
+from pilat.cardinal import ONE
 
 # (class, a function building every field afresh in declaration order,
 #  the defaulted trailing fields with their defaults)
@@ -73,3 +83,54 @@ def test_records_are_immutable_values(cls, make, defaults):
     assert {k: getattr(short, k) for k in defaults} == defaults
     if defaults:
         assert short != rec  # each table entry sets some defaulted field
+
+
+# (a value of each of the six frozen classes, shared ones where they exist,
+#  and one of its fields; a partition also keeps its cached fields)
+VALUES = {
+    "Ordinal": (lambda: ONE, "terms"),
+    "Cardinal": (lambda: ALEPH0, "index"),
+    "PartitionShape": (lambda: PartitionShape(ALEPH0, 1, fin(3)), "residue"),
+    "KeyframePlan": (lambda: KeyframePlan(2), "k"),
+    "Partition": (lambda: bottom(3), "n"),
+    "Partition-cached": (lambda: bottom(3), "labels"),
+    "ContinuumModel": (lambda: GCH, "gch"),
+}
+
+
+def _shared_values_answer():
+    assert parse_ordinal("1") is ONE
+    assert power_of_two(ALEPH0) == aleph(1)
+
+
+@pytest.mark.parametrize("case", VALUES)
+def test_values_refuse_every_write(case):
+    make, name = VALUES[case]
+    value = make()
+    field, text = getattr(value, name), repr(value)
+    refused = f"^{type(value).__name__} is immutable$"
+    for mutate in (lambda: setattr(value, name, field),
+                   lambda: setattr(value, name, None),
+                   lambda: setattr(value, "extra", 1),
+                   lambda: delattr(value, name),
+                   lambda: delattr(value, "extra")):
+        with pytest.raises(AttributeError, match=refused):
+            mutate()
+        _shared_values_answer()
+    assert getattr(value, name) is field and repr(value) == text
+
+
+@pytest.mark.parametrize("model", [GCH, ContinuumModel(), ContinuumModel(continuum={2: 3, 1: 3})],
+                         ids=["GCH", "empty", "pinned"])
+def test_models_round_trip_with_a_read_only_continuum(model):
+    twins = [pickle.loads(pickle.dumps(model, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (model, *twins, copy.copy(model), copy.deepcopy(model)):
+        assert type(twin) is ContinuumModel and twin.gch is model.gch
+        assert list(twin.continuum.items()) == list(model.continuum.items())
+        assert repr(twin) == repr(model)
+        with pytest.raises(TypeError):
+            twin.continuum[ONE] = ONE
+        with pytest.raises(TypeError):
+            del twin.continuum[ONE]
+    _shared_values_answer()
