@@ -330,7 +330,8 @@ class ContinuumModel(Frozen):
     A custom assignment {i: j} reads 2^aleph_i = aleph_j.  Construction
     rejects assignments at singular indices, non-monotone assignments, and
     assignments violating cf(2^kappa) > kappa.  ``continuum`` is a read-only
-    view of the validated assignment, in ascending order of its keys.
+    view of the validated assignment, in ascending order of its keys.  Two
+    models are equal, and hash alike, when their ``gch`` and pins are equal.
     """
 
     __slots__ = ("gch", "continuum")
@@ -356,6 +357,17 @@ class ContinuumModel(Frozen):
             prev_value = v
         object.__setattr__(self, "gch", gch)
         object.__setattr__(self, "continuum", MappingProxyType(pins))
+
+    def _key(self) -> tuple:
+        return self.gch, tuple(self.continuum.items())  # the pins are sorted: canonical
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __reduce__(self):
         return type(self), (self.gch, dict(self.continuum))

@@ -209,6 +209,8 @@ class KeyframePlan(FrozenRecord):
     __slots__ = ("k",)
 
     def __init__(self, k: int):
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"keyframe k must be an int: k={k!r}")
         cap = ground_cap()
         if not 0 <= k < cap.bit_length():  # 0 <= k and 2^k <= cap
             raise ValueError(f"k={k} needs 2^k elements within the ground cap {cap}")

@@ -7,6 +7,17 @@ write.  Output is
 deterministic byte for byte; the PILAT_MAX_N environment variable replaces
 the built-in size caps.
 
+The grammar is one table, ``_COMMANDS``: each command path with its help,
+handler and arguments (``_Arg``: positionals with their choices, options
+with their type, default, help and whether they are required).  Two
+readers take it.  ``_read_plain`` reads the plain form of argv (exact
+option names each given once, option values that do not start with "-",
+ASCII-digit ints, every positional in its slot) into the namespace that
+argparse would return.  Any other argv, help and every error among them,
+goes to the argparse parser that ``_build_parser`` builds from the table
+on first use, so argparse is imported only then and its messages are
+unchanged.
+
 Each ``_cmd_*`` handler returns ``(exit_code, lines)`` and writes nothing.
 ``lines`` is any iterable of lines: a list, or an iterator that builds the
 lines as they are written (``enumerate`` and the ``antichains bipartition``
@@ -17,7 +28,11 @@ returned, it opens ``--output`` when that option is set, otherwise it uses
 stdout, and writes the lines, each ending in a newline, in chunks of
 ``_CHUNK`` lines.  A handler that raises has written nothing, so exit 2
 leaves stdout empty and no ``--output`` file is opened.  A write that fails
-also exits 2, and what was written before it stays.
+also exits 2, and what was written before it stays.  A closed pipe on
+stdout is the one exception: when its reader leaves early (``| head -1``)
+the writing stops quietly, nothing goes to stderr and the exit code is the
+handler's; ``entry`` points stdout at the null device, so that the flush at
+interpreter exit reports nothing either.
 
 A partition file (``chains verify FILE``, ``hasse --chain``/``--antichain``)
 holds one literal per non-blank line over {0..n-1}, where n is the first
@@ -30,12 +45,12 @@ are those of the full parse.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
-import json
+import os
 import sys
-from typing import Iterable, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TextIO
 
 from . import antichains as ac
 from . import cardinal as card
@@ -45,6 +60,9 @@ from . import ortho
 from .enumeration import _atom_coatom_counts, _partition_lines, bell, iter_partitions
 from .partitions import (Partition, _check_cap, _format_many, _LineError, _parse_many,
                          effective_cap)
+
+if TYPE_CHECKING:
+    import argparse
 
 HASSE_CAP = 7
 CENSUS_VERSION = "# pilat census v1"
@@ -157,6 +175,8 @@ def _load_model(source: str) -> card.ContinuumModel:
     answer does not depend on the decoder's own recursion limits."""
     if source == "gch":
         return card.GCH
+    import json
+
     with open(source, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -222,68 +242,137 @@ def _cmd_hasse(args) -> tuple[int, list[str]]:
     return 0, _hasse_dot(parts)
 
 
-# -- parser -----------------------------------------------------------------
+# -- grammar ----------------------------------------------------------------
 
 
-@functools.cache  # built on the first main call, not at import; parse_args leaves it unchanged
+class _Arg(NamedTuple):
+    """One argument of a command: an option when ``name`` starts with "--",
+    otherwise a positional named by its dest.  ``kind`` is int or str, or
+    bool for a flag, which is False unless given."""
+    name: str
+    kind: type = str
+    required: bool = False  # options only: every positional is required
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-")
+
+
+_N = _Arg("--n", int, required=True)
+_OUTPUT = _Arg("--output")
+
+# The one grammar: each command path with its help, handler and arguments.
+# The first word of a two-word path is a group, whose help and the dest of
+# whose second word are in _GROUPS; the dest of the first word is "cmd".
+_COMMANDS: dict[tuple[str, ...], tuple[str, Callable, tuple[_Arg, ...]]] = {
+    ("enumerate",): ("list a lattice or its counts", _cmd_enumerate,
+                     (_N, _Arg("--counts", bool, help="print counts only"), _OUTPUT)),
+    ("chains", "keyframe"): ("maximal chain through the dyadic keyframes", _cmd_chains,
+                             (_Arg("--k", int, required=True, help="ground set has 2^k elements"),
+                              _OUTPUT)),
+    ("chains", "verify"): ("check a file of one literal per line", _cmd_chains, (_Arg("file"),)),
+    ("antichains",): ("antichain constructions", _cmd_antichains,
+                      (_Arg("antichain_kind", choices=("doubleton", "bipartition")), _N,
+                       _Arg("--verify", bool), _OUTPUT)),
+    ("complements", "census"): ("CSV census over all of Pi_n", _cmd_complements, (_N, _OUTPUT)),
+    ("ortho", "search"): ("exhaustive search (small n)", _cmd_ortho,
+                          (_N, _Arg("--exhaustive", bool,
+                                    help="allow the n=5 search instead of the counting witness"))),
+    ("ortho", "witness"): ("counting witness for n >= 5", _cmd_ortho, (_N,)),
+    ("cardinal", "eval"): ("evaluate an expression under a model", _cmd_cardinal,
+                           (_Arg("expr"),
+                            _Arg("--model", default="gch", help="'gch' or a JSON model file"))),
+    ("hasse",): ("DOT diagram of a lattice or a file of partitions", _cmd_hasse,
+                 (_Arg("--n", int), _Arg("--chain"), _Arg("--antichain"), _OUTPUT)),
+}
+_GROUPS = {
+    "chains": ("keyframe chains; verify chain files", "chains_cmd"),
+    "complements": ("complement census", "complements_cmd"),
+    "ortho": ("orthocomplementation search and witnesses", "ortho_cmd"),
+    "cardinal": ("symbolic cardinal arithmetic", "cardinal_cmd"),
+}
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for ``argv`` if argv has the plain
+    form, otherwise None.
+
+    The plain form is a command path, then in any order: each positional
+    in its slot (one of its choices, if it has them) and each option at
+    most once under its exact name, a flag alone and any other option
+    followed by a value that does not start with "-" (made of ASCII digits
+    for an int option).  Every positional and every required option is
+    given."""
+    path = tuple(argv[:2 if argv and argv[0] in _GROUPS else 1])
+    if path not in _COMMANDS:
+        return None
+    _, handler, spec = _COMMANDS[path]
+    fields = {"cmd": path[0], "func": handler}
+    if len(path) == 2:
+        fields[_GROUPS[path[0]][1]] = path[1]
+    options = {arg.name: arg for arg in spec if arg.name.startswith("--")}
+    slots = [arg for arg in spec if not arg.name.startswith("--")]
+    taken = 0  # positionals read
+    tokens = iter(argv[len(path):])
+    for token in tokens:
+        if not token.startswith("-"):
+            if taken == len(slots) or slots[taken].choices and token not in slots[taken].choices:
+                return None
+            fields[slots[taken].dest] = token
+            taken += 1
+            continue
+        arg = options.get(token)
+        if arg is None or arg.dest in fields:
+            return None
+        if arg.kind is bool:
+            fields[arg.dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is not plain
+        if value.startswith("-") or arg.kind is int and not (value.isascii() and value.isdigit()):
+            return None
+        try:
+            fields[arg.dest] = arg.kind(value)
+        except ValueError:  # more digits than int() reads
+            return None
+    if taken < len(slots):
+        return None
+    for arg in options.values():
+        if arg.dest not in fields:
+            if arg.required:
+                return None
+            fields[arg.dest] = False if arg.kind is bool else arg.default
+    return SimpleNamespace(**fields)
+
+
+@functools.cache  # built at the first argv that is not plain; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="pilat",
-                                  description="partition lattice toolkit")
-    sub = top.add_subparsers(dest="cmd", required=True)
+    """The argparse parser of the grammar in ``_COMMANDS``."""
+    import argparse
 
-    p = sub.add_parser("enumerate", help="list a lattice or its counts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--counts", action="store_true", help="print counts only")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("chains", help="keyframe chains; verify chain files")
-    chains_sub = p.add_subparsers(dest="chains_cmd", required=True)
-    kf = chains_sub.add_parser("keyframe", help="maximal chain through the dyadic keyframes")
-    kf.add_argument("--k", type=int, required=True, help="ground set has 2^k elements")
-    kf.add_argument("--output", default=None)
-    vf = chains_sub.add_parser("verify", help="check a file of one literal per line")
-    vf.add_argument("file")
-    p.set_defaults(func=_cmd_chains)
-
-    p = sub.add_parser("antichains", help="antichain constructions")
-    p.add_argument("antichain_kind", choices=["doubleton", "bipartition"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_antichains)
-
-    p = sub.add_parser("complements", help="complement census")
-    comp_sub = p.add_subparsers(dest="complements_cmd", required=True)
-    cs = comp_sub.add_parser("census", help="CSV census over all of Pi_n")
-    cs.add_argument("--n", type=int, required=True)
-    cs.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_complements)
-
-    p = sub.add_parser("ortho", help="orthocomplementation search and witnesses")
-    ortho_sub = p.add_subparsers(dest="ortho_cmd", required=True)
-    se = ortho_sub.add_parser("search", help="exhaustive search (small n)")
-    se.add_argument("--n", type=int, required=True)
-    se.add_argument("--exhaustive", action="store_true",
-                    help="allow the n=5 search instead of the counting witness")
-    wi = ortho_sub.add_parser("witness", help="counting witness for n >= 5")
-    wi.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_ortho)
-
-    p = sub.add_parser("cardinal", help="symbolic cardinal arithmetic")
-    card_sub = p.add_subparsers(dest="cardinal_cmd", required=True)
-    ev = card_sub.add_parser("eval", help="evaluate an expression under a model")
-    ev.add_argument("expr")
-    ev.add_argument("--model", default="gch", help="'gch' or a JSON model file")
-    p.set_defaults(func=_cmd_cardinal)
-
-    p = sub.add_parser("hasse", help="DOT diagram of a lattice or a file of partitions")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--antichain", default=None)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_hasse)
-
+    top = argparse.ArgumentParser(prog="pilat", description="partition lattice toolkit")
+    commands = top.add_subparsers(dest="cmd", required=True)
+    groups = {}
+    for path, (help_text, handler, spec) in _COMMANDS.items():
+        if len(path) == 1:
+            parser = commands.add_parser(path[0], help=help_text)
+        else:
+            if path[0] not in groups:
+                group_help, dest = _GROUPS[path[0]]
+                groups[path[0]] = commands.add_parser(path[0], help=group_help).add_subparsers(
+                    dest=dest, required=True)
+            parser = groups[path[0]].add_parser(path[1], help=help_text)
+        for arg in spec:
+            if arg.kind is bool:
+                parser.add_argument(arg.name, action="store_true", help=arg.help)
+            elif arg.name.startswith("--"):
+                parser.add_argument(arg.name, type=arg.kind, required=arg.required,
+                                    default=arg.default, help=arg.help)
+            else:
+                parser.add_argument(arg.name, choices=arg.choices, help=arg.help)
+        parser.set_defaults(func=handler)
     return top
 
 
@@ -296,11 +385,14 @@ def _write_lines(fh: TextIO, lines: Iterable[str]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:  # help, every error and every other form: argparse
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         code, lines = args.func(args)
         out_path = getattr(args, "output", None)  # not every subcommand has --output
@@ -308,7 +400,10 @@ def main(argv: list[str] | None = None) -> int:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 _write_lines(fh, lines)
         else:
-            _write_lines(sys.stdout, lines)
+            try:
+                _write_lines(sys.stdout, lines)
+            except BrokenPipeError:  # the reader closed stdout: stop writing, quietly
+                pass
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -316,7 +411,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # what is left goes nowhere, so the flush at exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

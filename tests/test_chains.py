@@ -280,3 +280,13 @@ def test_keyframe_cap():
         keyframe_chain(8)
     with pytest.raises(ValueError):
         KeyframePlan(-1)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.5, 2.0, "2", None], ids=repr)
+def test_keyframe_k_must_be_an_int(k):
+    # bool too: True == 1 would build the chain of Pi_2, and a float would
+    # fail only at first use; the type is checked before the range
+    with pytest.raises(TypeError, match="must be an int"):
+        KeyframePlan(k)
+    with pytest.raises(TypeError, match="must be an int"):
+        keyframe_chain(k)

@@ -868,6 +868,21 @@ def test_failed_write_exits_2_with_part_of_the_output(capsys, tmp_path):
     assert listing.encode("utf-8").startswith(written)
 
 
+def test_closed_pipe_stops_the_output_quietly():
+    # README: a reader that closes stdout early (as `| head -1` does) is not a
+    # refusal; the command stops writing and exits with its own code
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    entry = f"import sys; sys.path.insert(0, {src!r}); from pilat.cli import entry; entry()"
+    with subprocess.Popen([sys.executable, "-I", "-c", entry, "enumerate", "--n", "10"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()  # 2.3 MB of listing are still to come
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=120)
+    assert first == " ".join(map(str, range(10))).encode() + b"\n"
+    assert (rc, err) == (0, b"")
+
+
 # The listings main writes as they are built; each refuses before its first line.
 STREAMED_REFUSALS = [
     ((), ("enumerate", "--n", "13")),
@@ -982,8 +997,9 @@ print(json.dumps(report))
 def test_parser_is_built_once_on_the_first_call():
     good = ["cardinal", "eval", "pow(aleph(0), aleph(0))"]
     bad = ["cardinal", "eval", "fin(1)", "--bogus"]
+    joined = [*good, "--model=gch"]  # only argparse reads the "=" form
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, "-c", PARSER_PROBE, json.dumps([good, bad, good])],
+    proc = subprocess.run([sys.executable, "-c", PARSER_PROBE, json.dumps([good, bad, joined])],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -993,32 +1009,42 @@ def test_parser_is_built_once_on_the_first_call():
     assert (rc1, out1, err1) == (0, "aleph(1)\n", "")
     assert rc2 == 2 and out2 == "" and "unrecognized arguments: --bogus" in err2
     assert (rc3, out3, err3) == (rc1, out1, err1)
-    assert built1 > 1 and built1 == built2 == built3  # the whole tree, once
+    assert built1 == 0  # the plain reader answered
+    assert built2 > 1 and built3 == built2  # the whole tree, once
 
 
 # ------------------------------------------------------- stdlib-only runtime
 
 # Runs in a fresh isolated interpreter.  Modules loaded before pilat (site
 # .pth files may preload third-party ones) are left out: only the modules
-# that importing pilat.cli and serving the requests load are reported.
+# that importing pilat.cli and serving the requests load are reported, first
+# after the requests given as arguments (one request per argument, its
+# tokens separated by tabs), then after one more request that reads a model
+# file.  json is imported only to write the report.
 RUNTIME_PROBE = """
 import sys
 before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
-import contextlib, io, json
+import contextlib, io
 import pilat.cli
-codes = []
-for argv in json.loads(sys.argv[2]):
+def serve(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        codes.append([pilat.cli.main(argv), bool(out.getvalue())])
-print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - before)}))
+        return [pilat.cli.main(argv), bool(out.getvalue())]
+codes = [serve(request.split("\\t")) for request in sys.argv[3:]]
+loaded = sorted(set(sys.modules) - before)
+model_code = serve(["cardinal", "eval", "pow(aleph(0), aleph(0))", "--model", sys.argv[2]])
+model_loaded = sorted(set(sys.modules) - before)
+import json
+print(json.dumps({"codes": codes, "loaded": loaded, "model": [model_code, model_loaded]}))
 """
 
 
 def test_runtime_loads_only_the_standard_library(tmp_path):
     chain = tmp_path / "chain.txt"
     chain.write_text("0|1|2\n0 1|2\n0 1 2\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    model.write_text('{"gch": true}', encoding="utf-8")
     requests = [
         ["enumerate", "--n", "3"],
         ["chains", "keyframe", "--k", "2"],
@@ -1031,7 +1057,8 @@ def test_runtime_loads_only_the_standard_library(tmp_path):
         ["hasse", "--chain", str(chain)],
     ]
     src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-I", "-c", RUNTIME_PROBE, src, json.dumps(requests)],
+    proc = subprocess.run([sys.executable, "-I", "-c", RUNTIME_PROBE, src, str(model),
+                           *("\t".join(argv) for argv in requests)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -1045,3 +1072,8 @@ def test_runtime_loads_only_the_standard_library(tmp_path):
     # records are NamedTuples and __slots__ classes: dataclasses would also
     # load inspect (with ast, dis and tokenize), about half the import time
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    # plain argv is read without argparse, and json is loaded for a model file only
+    assert "argparse" not in loaded and "json" not in loaded
+    model_code, model_loaded = report["model"]
+    assert model_code == [0, True] and "json" in model_loaded
+    assert "argparse" not in model_loaded

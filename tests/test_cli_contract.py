@@ -5,6 +5,9 @@ exception escape, and writes nothing to stdout when it returns 2.  Sizes are
 drawn from sets that either finish quickly or are refused at a cap.  Some
 census samples pass ``--jobs``, which the census does not take, so they
 check the parser's exit 2.
+
+The same argv, edited into forms only argparse reads, check that the plain
+reader answers only where argparse returns the same namespace.
 """
 import contextlib
 import io
@@ -12,10 +15,11 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pilat.cli import main
+from pilat.cli import _build_parser, _read_plain, main
 
 HUGE = 10**19
 
@@ -180,3 +184,96 @@ def test_cli_exit_contract(case):
     assert rc in (0, 1, 2)
     if rc == 2:
         assert out.getvalue() == ""
+
+
+# ------------------------------------------------------- the plain reader
+
+# tokens swapped or inserted into argv: help, "--", empty values, extra and
+# misplaced positionals, and ints argparse reads but the reader leaves to it
+_edits = st.sampled_from([
+    "-h", "--help", "--", "", "-", "extra", "doubleton", "verify", "gch", "3", "00", "-1", "-0",
+    "\u0665", "1\u0665", "+3", " 3", "3 ", "3_0", "--n", "--k", "--counts", "--verify",
+    "--output", "--model", "--n=3", "--co", "--mod",
+])
+
+
+@st.composite
+def edited_argv(draw):
+    """argv of the contract's strategies, edited up to three times: a token
+    inserted, replaced, dropped, repeated with its successor, shortened to a
+    prefix (an abbreviation when it is an option) or joined to its successor
+    by "=" ."""
+    argv = list(draw(all_argv)[0])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "drop", "repeat", "shorten", "join"]))
+        if edit == "insert":
+            argv.insert(i, draw(_edits))
+        elif i == len(argv):
+            continue
+        elif edit == "replace":
+            argv[i] = draw(_edits)
+        elif edit == "drop":
+            del argv[i]
+        elif edit == "repeat":
+            argv[i:i] = argv[i:i + 2]
+        elif edit == "shorten":
+            argv[i] = argv[i][:draw(st.integers(0, max(len(argv[i]) - 1, 0)))]
+        else:
+            argv[i:i + 2] = ["=".join(argv[i:i + 2])]
+    return argv
+
+
+def _argparse_fields(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(_build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(all_argv.map(lambda case: case[0]), edited_argv()))
+def test_plain_reader_answers_only_as_argparse(argv):
+    plain = _read_plain(argv)
+    if plain is not None:
+        assert vars(plain) == _argparse_fields(argv)
+
+
+PLAIN = [
+    ["enumerate", "--n", "3"],
+    ["enumerate", "--counts", "--output", "out.txt", "--n", "007"],
+    ["chains", "keyframe", "--k", "2"],
+    ["chains", "verify", "chain.txt"],
+    ["antichains", "--verify", "--n", "4", "bipartition"],
+    ["complements", "census", "--n", "3"],
+    ["ortho", "search", "--exhaustive", "--n", "5"],
+    ["ortho", "witness", "--n", str(HUGE)],
+    ["cardinal", "eval", "--model", "gch", ""],
+    ["cardinal", "eval", "pow(aleph(0), aleph(0))"],
+    ["hasse", "--chain", "chain.txt", "--n", "3"],
+    ["hasse"],
+]
+NOT_PLAIN = [
+    [], ["-h"], ["enumerate", "--help"], ["enumerate", "--n=5"],
+    ["enumerate", "--n", "3", "--coun"],
+    ["enumerate", "--n", "-1"], ["enumerate", "--n", "+1"], ["enumerate", "--n", "\u0665"],
+    ["enumerate", "--n", "1" * 5000], ["enumerate", "--n", "3", "--n", "3"],
+    ["enumerate", "--counts", "--counts", "--n", "3"], ["enumerate", "--n"], ["enumerate"],
+    ["enumerate", "--", "--n", "3"], ["enumerate", "--n", "3", "extra"], ["frobnicate", "--n", "3"],
+    ["chains"], ["chains", "--k", "2", "keyframe"], ["chains", "verify"],
+    ["chains", "verify", "-"], ["antichains", "bogus", "--n", "3"],
+    ["cardinal", "eval", "fin(1)", "--model", "-"], ["cardinal", "eval", "-1"],
+    ["hasse", "--chain", "--n"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN, ids=" ".join)
+def test_plain_argv_is_read_as_argparse_reads_it(argv):
+    assert vars(_read_plain(argv)) == _argparse_fields(argv)
+
+
+@pytest.mark.parametrize("argv", NOT_PLAIN, ids=lambda argv: " ".join(argv)[:40] or "empty")
+def test_other_argv_is_left_to_argparse(argv):
+    assert _read_plain(argv) is None

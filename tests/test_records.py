@@ -129,8 +129,19 @@ def test_models_round_trip_with_a_read_only_continuum(model):
         assert type(twin) is ContinuumModel and twin.gch is model.gch
         assert list(twin.continuum.items()) == list(model.continuum.items())
         assert repr(twin) == repr(model)
+        assert twin == model and hash(twin) == hash(model)
         with pytest.raises(TypeError):
             twin.continuum[ONE] = ONE
         with pytest.raises(TypeError):
             del twin.continuum[ONE]
     _shared_values_answer()
+
+
+def test_models_are_equal_by_their_pins():
+    assert ContinuumModel() == ContinuumModel() and ContinuumModel() != GCH
+    assert ContinuumModel(gch=True) == GCH and hash(ContinuumModel(gch=True)) == hash(GCH)
+    pinned = ContinuumModel(continuum={1: 3, 2: 3})
+    assert ContinuumModel(continuum={2: 3, 1: 3}) == pinned  # pins are sorted
+    assert ContinuumModel(continuum={1: 3}) != pinned != ContinuumModel(continuum={1: 3, 2: 4})
+    assert len({GCH, ContinuumModel(gch=True), ContinuumModel(), ContinuumModel()}) == 2
+    assert pinned != (False, tuple(pinned.continuum.items()))  # same class only
