@@ -1,4 +1,5 @@
-"""The one immutability guard of the package's value classes.
+"""The one immutability guard and the one total order of the package's
+value classes.
 
 ``Frozen`` refuses attribute assignment and deletion, so a value shared
 across a process (an interned ordinal, ``ALEPH0``, the model ``GCH``, a
@@ -6,7 +7,11 @@ partition used as a dict key) cannot change in place.  Constructors write
 with ``object.__setattr__``, or through the instance ``__dict__``.
 ``FrozenRecord`` reads equality (same class only), hashing, pickling and
 the repr ``Name(field=value, ...)`` off its ``__slots__``, which the
-constructor takes positionally in that order.
+constructor takes positionally in that order.  ``Ordered`` derives ``<``,
+``<=``, ``>`` and ``>=`` from one ``_cmp(other)``, which returns -1, 0 or
+1; against an instance of another class each comparison is
+``NotImplemented``, so mixed comparisons raise TypeError.  Equality stays
+the class's own.
 """
 
 
@@ -39,3 +44,27 @@ class FrozenRecord(Frozen):
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+class Ordered:
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._cmp(other) < 0
+
+    def __le__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._cmp(other) > 0
+
+    def __ge__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._cmp(other) >= 0

@@ -12,7 +12,11 @@ may be unknown), never a guess.
 Each ordinal value is one object (Ordinal interns its terms), so equality
 and hashing are identity and a comparison follows one path of exponents in
 a loop.  Identity hashes follow memory addresses, so no output may depend
-on the iteration order of a set of ordinals.
+on the iteration order of a set of ordinals.  Ordinals and cardinals are
+each totally ordered by one ``_cmp``, from which ``_frozen.Ordered``
+derives the four comparisons: finite cardinals by value and below every
+aleph, alephs by their indices.  Comparing across the two classes, or
+with an int, raises TypeError.
 
 Text forms, shared with the CLI: ordinals use ``w`` for omega, as in
 ``w^2*3+w+5``; cardinals are ``fin(3)`` or ``aleph(w+1)``.  The reader
@@ -27,7 +31,7 @@ import re
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from ._frozen import Frozen, FrozenRecord
+from ._frozen import Frozen, FrozenRecord, Ordered
 
 
 def _is_int(x: object) -> bool:
@@ -37,7 +41,7 @@ def _is_int(x: object) -> bool:
 _INTERNED: dict[tuple, "Ordinal"] = {}  # terms -> the one Ordinal with those terms
 
 
-class Ordinal(Frozen):
+class Ordinal(Frozen, Ordered):
     """An ordinal below epsilon_0 in Cantor normal form (immutable).
 
     Each value is one object: construction returns the instance already
@@ -108,26 +112,6 @@ class Ordinal(Frozen):
             else:  # one terms tuple extends the other
                 return -1 if len(a.terms) < len(b.terms) else 1
         return 0
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._cmp(other) >= 0
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other: "Ordinal") -> "Ordinal":
@@ -220,7 +204,7 @@ def format_ordinal(o: Ordinal) -> str:
     return "".join(out)
 
 
-class Cardinal(FrozenRecord):
+class Cardinal(FrozenRecord, Ordered):
     """A finite cardinal or an aleph with a CNF ordinal index (immutable)."""
 
     __slots__ = ("finite", "index")
@@ -245,31 +229,16 @@ class Cardinal(FrozenRecord):
     def is_infinite(self) -> bool:
         return self.index is not None
 
-    def _key(self):
-        # finite cardinals sort below every aleph
-        if self.is_finite:
-            return (0, self.finite)
-        return (1, self.index)
-
-    def __lt__(self, other: "Cardinal") -> bool:
-        if not isinstance(other, Cardinal):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __le__(self, other: "Cardinal") -> bool:
-        if not isinstance(other, Cardinal):
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Cardinal") -> bool:
-        if not isinstance(other, Cardinal):
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Cardinal") -> bool:
-        if not isinstance(other, Cardinal):
-            return NotImplemented
-        return self._key() >= other._key()
+    def _cmp(self, other: "Cardinal") -> int:
+        """-1, 0 or 1 as self is below, equal to or above other: finite
+        cardinals by value, each below every aleph, alephs by index."""
+        if self.finite is not None:
+            if other.finite is None:
+                return -1
+            return (self.finite > other.finite) - (self.finite < other.finite)
+        if other.finite is not None:
+            return 1
+        return self.index._cmp(other.index)
 
     def successor(self) -> "Cardinal":
         if self.is_finite:
@@ -661,13 +630,15 @@ class _Parser:
     def peek(self) -> str | None:
         return self.toks[self.pos]
 
-    def take(self, expected: str | None = None) -> str:
-        tok = self.toks[self.pos]
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
+    def take(self, *expected: str) -> str:
+        """The next token, or each of ``expected`` in turn: the last taken."""
+        for want in expected or (None,):
+            tok = self.toks[self.pos]
+            if tok is None:
+                raise ValueError("unexpected end of expression")
+            if want is not None and tok != want:
+                raise ValueError(f"expected {want!r}, got {tok!r}")
+            self.pos += 1
         return tok
 
     def int_(self) -> int:
@@ -776,28 +747,20 @@ class _Parser:
         return _exact(self.cardinal(model))
 
     def shape(self, model: ContinuumModel) -> PartitionShape:
-        self.take("shape")
-        self.take("(")
-        self.take("full")
-        self.take("=")
+        self.take("shape", "(", "full", "=")
         full = self.int_()
-        self.take(",")
-        self.take("kappa")
-        self.take("=")
+        self.take(",", "kappa", "=")
         kappa = self.exact_cardinal(model)
         residue = None
         if self.peek() == ",":
-            self.take(",")
-            self.take("lambda")
-            self.take("=")
+            self.take(",", "lambda", "=")
             residue = self.exact_cardinal(model)
         self.take(")")
         return PartitionShape(kappa=kappa, full_blocks=min(full, 2), residue=residue)
 
     def expression(self, model: ContinuumModel):
         if self.peek() == "complements":
-            self.take("complements")
-            self.take("(")
+            self.take("complements", "(")
             shp = self.shape(model)
             self.take(")")
             return complement_count_symbolic(shp, model)

@@ -16,7 +16,9 @@ verdict off those answers and each line's block count: ``verify_chain`` and
 the reader share ``_verdict``, the one order of the checks.  A line the
 reader cannot accept (a padded token such as ``07``, a repeated block, any
 error) sends the whole file to the full parse and ``verify_chain``, which
-reports exactly as a file of partitions is reported everywhere else.
+reports exactly as a file of partitions is reported everywhere else.  That
+fallback is internal: ``_verify_lines`` returns the report, or raises the
+full parse's ``_LineError``, and never asks its caller to parse.
 """
 from __future__ import annotations
 
@@ -96,10 +98,11 @@ def verify_chain(chain: Sequence[Partition]) -> ChainReport:
                     lambda i: _step_between(chain[i], chain[i + 1]))
 
 
-def _verify_lines(lines: Sequence[str], n: int) -> ChainReport | None:
-    """The report on the literals ``lines`` over {0..n-1}, read as the
-    differences between consecutive lines, or None when a line needs the
-    full parse (see the module docstring).
+def _verify_lines(lines: Sequence[str], n: int) -> ChainReport:
+    """The report on the literals ``lines`` over {0..n-1}: what
+    ``verify_chain(_parse_many(lines, n))`` returns or raises, read as the
+    differences between consecutive lines where it can be (see the module
+    docstring), otherwise by that full parse.
 
     A line is accepted when its block texts are distinct and the masks of
     the texts it adds tile the elements of the texts it drops; the first
@@ -119,16 +122,18 @@ def _verify_lines(lines: Sequence[str], n: int) -> ChainReport | None:
             gone = list(map(mask_of, before - now)) if counts else [memo.full]
             new = list(map(mask_of, now - before))
         except KeyError:
-            return None
+            break
         if len(now) != len(texts) or not _tiles(new, sum(gone)):
-            return None
+            break
         if counts:
             lo, hi = set(gone), set(new)
             increasing.append(lo != hi and _refines(lo - hi, hi - lo))
         counts.append(len(texts))
         before = now
-    return _verdict(n, increasing, counts,
-                    lambda i: _step_between(*_parse_many(lines[i:i + 2], n)))
+    else:
+        return _verdict(n, increasing, counts,
+                        lambda i: _step_between(*_parse_many(lines[i:i + 2], n)))
+    return verify_chain(_parse_many(lines, n))  # a line the reading cannot accept
 
 
 def extend_to_maximal(chain: Sequence[Partition]) -> list[Partition]:

@@ -8,15 +8,17 @@ deterministic byte for byte; the PILAT_MAX_N environment variable replaces
 the built-in size caps.
 
 The grammar is one table, ``_COMMANDS``: each command path with its help,
-handler and arguments (``_Arg``: positionals with their choices, options
-with their type, default, help and whether they are required).  Two
-readers take it.  ``_read_plain`` reads the plain form of argv (exact
-option names each given once, option values that do not start with "-",
-ASCII-digit ints, every positional in its slot) into the namespace that
+its own handler and its arguments (``_Arg``: positionals with their
+choices, options with their type, default, help and whether they are
+required).  The table has resolved the path, so no handler looks at a
+subcommand again.  Two readers take it.  ``_read_plain`` reads the plain
+form of argv (exact option names each given once, option values that do
+not start with "-", every positional in its slot) into the namespace that
 argparse would return.  Any other argv, help and every error among them,
 goes to the argparse parser that ``_build_parser`` builds from the table
 on first use, so argparse is imported only then and its messages are
-unchanged.
+unchanged.  Both readers convert an int option with the one ``_int``,
+which takes an optional "-" and ASCII digits and nothing else.
 
 Each ``_cmd_*`` handler returns ``(exit_code, lines)`` and writes nothing.
 ``lines`` is any iterable of lines: a list, or an iterator that builds the
@@ -36,12 +38,11 @@ interpreter exit reports nothing either.
 
 A partition file (``chains verify FILE``, ``hasse --chain``/``--antichain``)
 holds one literal per non-blank line over {0..n-1}, where n is the first
-literal's token count; an error names the file, and a bad literal also its
-1-based line, blank lines counted.  ``hasse`` parses every line.
-``chains verify`` reads the lines as differences between consecutive
-lines (``chains._verify_lines``) and falls back to the full parse and
-``verify_chain`` for any line that reading cannot accept, so its errors
-are those of the full parse.
+literal's token count.  The one reader, ``_read_file``, hands the lines and
+n to a command's reading of them; an error names the file, and a bad
+literal also its 1-based line, blank lines counted.  ``hasse`` parses
+every line (``_parse_many``); ``chains verify`` passes
+``chains._verify_lines``, whose errors are those of the full parse.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ import itertools
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from . import antichains as ac
 from . import cardinal as card
@@ -63,6 +64,9 @@ from .partitions import (Partition, _check_cap, _format_many, _LineError, _parse
 
 if TYPE_CHECKING:
     import argparse
+    from typing import TypeVar
+
+    _T = TypeVar("_T")
 
 HASSE_CAP = 7
 CENSUS_VERSION = "# pilat census v1"
@@ -70,10 +74,10 @@ HASSE_VERSION = "// pilat hasse v1"
 _CHUNK = 4096  # lines per write
 
 
-def _file_literals(path: str) -> tuple[list[tuple[int, str]], int]:
-    """The non-blank lines of a partition file, each with its 1-based
-    number (blank lines counted), and n: the first literal's token count.
-    An error names the file."""
+def _read_file(path: str, read: Callable[[Sequence[str], int], _T]) -> _T:
+    """``read(lines, n)`` on the non-blank lines of a partition file, where
+    n is the first line's token count.  An error names the file, and a
+    ``_LineError`` also the bad line's 1-based number, blank lines counted."""
     try:
         with open(path, encoding="utf-8") as fh:
             numbered = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
@@ -81,20 +85,11 @@ def _file_literals(path: str) -> tuple[list[tuple[int, str]], int]:
         raise ValueError(f"{path}: {exc}") from exc
     if not numbered:
         raise ValueError(f"{path}: no partition literals")
-    return numbered, len(numbered[0][1].replace("|", " ").split())
-
-
-def _parse_file_literals(path: str, numbered: list[tuple[int, str]], n: int) -> list[Partition]:
-    """The partition on each numbered line; an error names the file and the line."""
+    numbers, lines = zip(*numbered)
     try:
-        return _parse_many([line for _, line in numbered], n)
+        return read(lines, len(lines[0].replace("|", " ").split()))
     except _LineError as exc:
-        raise ValueError(f"{path}:{numbered[exc.index][0]}: {exc}") from exc
-
-
-def _read_partition_file(path: str) -> list[Partition]:
-    """The literal on each non-blank line of a partition file."""
-    return _parse_file_literals(path, *_file_literals(path))
+        raise ValueError(f"{path}:{numbers[exc.index]}: {exc}") from exc
 
 
 def _yesno(flag: bool) -> str:
@@ -112,15 +107,12 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     return 0, _partition_lines(args.n)
 
 
-def _cmd_chains(args) -> tuple[int, list[str]]:
-    if args.chains_cmd == "keyframe":
-        return 0, _format_many(ch.keyframe_chain(args.k))
-    # verify: the file is read as the differences between consecutive lines,
-    # and any line that reading cannot accept sends it to the full parse
-    numbered, n = _file_literals(args.file)
-    report = ch._verify_lines([line for _, line in numbered], n)
-    if report is None:
-        report = ch.verify_chain(_parse_file_literals(args.file, numbered, n))
+def _cmd_keyframe(args) -> tuple[int, list[str]]:
+    return 0, _format_many(ch.keyframe_chain(args.k))
+
+
+def _cmd_verify(args) -> tuple[int, list[str]]:
+    report = _read_file(args.file, ch._verify_lines)
     out = [f"chain: {_yesno(report.is_chain)}",
            f"saturated: {_yesno(report.is_saturated)}",
            f"maximal: {_yesno(report.is_maximal)}"]
@@ -156,11 +148,13 @@ def _cmd_complements(args) -> tuple[int, list[str]]:
     return 0, lines
 
 
-def _cmd_ortho(args) -> tuple[int, list[str]]:
-    if args.ortho_cmd == "witness":
-        w = ortho.non_ortho_witness(args.n)
-        return 0, [f"n={w.n} atoms={w.atom_count} coatoms={w.coatom_count}",
-                   f"no orthocomplementation: {w.reason}"]
+def _cmd_witness(args) -> tuple[int, list[str]]:
+    w = ortho.non_ortho_witness(args.n)
+    return 0, [f"n={w.n} atoms={w.atom_count} coatoms={w.coatom_count}",
+               f"no orthocomplementation: {w.reason}"]
+
+
+def _cmd_search(args) -> tuple[int, list[str]]:
     found = ortho.search_orthocomplementation(args.n, exhaustive=args.exhaustive)
     if found is None:
         return 0, ["none"]
@@ -238,19 +232,32 @@ def _cmd_hasse(args) -> tuple[int, list[str]]:
         _check_cap(args.n, HASSE_CAP, "hasse")
         parts = list(iter_partitions(args.n))
     else:
-        parts = _read_partition_file(sources[0])
+        parts = _read_file(sources[0], _parse_many)
     return 0, _hasse_dot(parts)
 
 
 # -- grammar ----------------------------------------------------------------
 
 
+def _int(text: str) -> int:
+    """The value of an int option on both readers: an optional "-" and
+    ASCII digits.  Its name is the type in argparse's "invalid int value"."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"
+
+
 class _Arg(NamedTuple):
     """One argument of a command: an option when ``name`` starts with "--",
-    otherwise a positional named by its dest.  ``kind`` is int or str, or
-    bool for a flag, which is False unless given."""
+    otherwise a positional named by its dest.  ``kind`` converts an
+    option's value (``_int`` or str), or is bool for a flag, which is False
+    unless given."""
     name: str
-    kind: type = str
+    kind: Callable = str
     required: bool = False  # options only: every positional is required
     default: object = None
     help: str | None = None
@@ -261,7 +268,7 @@ class _Arg(NamedTuple):
         return self.name.lstrip("-")
 
 
-_N = _Arg("--n", int, required=True)
+_N = _Arg("--n", _int, required=True)
 _OUTPUT = _Arg("--output")
 
 # The one grammar: each command path with its help, handler and arguments.
@@ -270,23 +277,23 @@ _OUTPUT = _Arg("--output")
 _COMMANDS: dict[tuple[str, ...], tuple[str, Callable, tuple[_Arg, ...]]] = {
     ("enumerate",): ("list a lattice or its counts", _cmd_enumerate,
                      (_N, _Arg("--counts", bool, help="print counts only"), _OUTPUT)),
-    ("chains", "keyframe"): ("maximal chain through the dyadic keyframes", _cmd_chains,
-                             (_Arg("--k", int, required=True, help="ground set has 2^k elements"),
+    ("chains", "keyframe"): ("maximal chain through the dyadic keyframes", _cmd_keyframe,
+                             (_Arg("--k", _int, required=True, help="ground set has 2^k elements"),
                               _OUTPUT)),
-    ("chains", "verify"): ("check a file of one literal per line", _cmd_chains, (_Arg("file"),)),
+    ("chains", "verify"): ("check a file of one literal per line", _cmd_verify, (_Arg("file"),)),
     ("antichains",): ("antichain constructions", _cmd_antichains,
                       (_Arg("antichain_kind", choices=("doubleton", "bipartition")), _N,
                        _Arg("--verify", bool), _OUTPUT)),
     ("complements", "census"): ("CSV census over all of Pi_n", _cmd_complements, (_N, _OUTPUT)),
-    ("ortho", "search"): ("exhaustive search (small n)", _cmd_ortho,
+    ("ortho", "search"): ("exhaustive search (small n)", _cmd_search,
                           (_N, _Arg("--exhaustive", bool,
                                     help="allow the n=5 search instead of the counting witness"))),
-    ("ortho", "witness"): ("counting witness for n >= 5", _cmd_ortho, (_N,)),
+    ("ortho", "witness"): ("counting witness for n >= 5", _cmd_witness, (_N,)),
     ("cardinal", "eval"): ("evaluate an expression under a model", _cmd_cardinal,
                            (_Arg("expr"),
                             _Arg("--model", default="gch", help="'gch' or a JSON model file"))),
     ("hasse",): ("DOT diagram of a lattice or a file of partitions", _cmd_hasse,
-                 (_Arg("--n", int), _Arg("--chain"), _Arg("--antichain"), _OUTPUT)),
+                 (_Arg("--n", _int), _Arg("--chain"), _Arg("--antichain"), _OUTPUT)),
 }
 _GROUPS = {
     "chains": ("keyframe chains; verify chain files", "chains_cmd"),
@@ -331,11 +338,11 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
             fields[arg.dest] = True
             continue
         value = next(tokens, "-")  # a missing value is not plain
-        if value.startswith("-") or arg.kind is int and not (value.isascii() and value.isdigit()):
+        if value.startswith("-"):
             return None
         try:
             fields[arg.dest] = arg.kind(value)
-        except ValueError:  # more digits than int() reads
+        except ValueError:  # not an int, or more digits than int() reads
             return None
     if taken < len(slots):
         return None

@@ -158,14 +158,9 @@ class Partition(Frozen):
     def __init__(self, n: int, masks: Iterable[int]):
         _check_size(n)
         blocks = tuple(sorted(masks, key=_low))
-        union = 0
-        count = 0
-        for m in blocks:
-            if m <= 0:
-                raise ValueError("empty block")
-            union |= m
-            count += m.bit_count()
-        if union != (1 << n) - 1 or count != n:
+        if any(m <= 0 for m in blocks):
+            raise ValueError("empty block")
+        if not _tiles(blocks, (1 << n) - 1):
             raise ValueError("blocks must be disjoint and cover 0..n-1")
         self.__dict__.update(n=n, masks=blocks)
 
@@ -219,10 +214,8 @@ class Partition(Frozen):
         """Restricted growth string: labels[e] = index of the block holding e."""
         out = [0] * self.n
         for j, m in enumerate(self.masks):
-            while m:
-                low = m & -m
-                out[low.bit_length() - 1] = j
-                m ^= low
+            for e in _mask_elements(m):
+                out[e] = j
         return tuple(out)
 
     @property

@@ -1,7 +1,7 @@
 """Hypothesis strategies shared by the test modules."""
 from hypothesis import strategies as st
 
-from pilat import Ordinal, Partition
+from pilat import Ordinal, Partition, aleph, fin
 from pilat.cardinal import ZERO
 
 
@@ -38,3 +38,8 @@ def ordinals(depth: int = 2):
         st.lists(st.tuples(ordinals(depth - 1).filter(lambda o: o != ZERO),
                            st.integers(1, 4)), max_size=3),
     ).map(build)
+
+
+def cardinals(depth: int = 2):
+    """Finite cardinals and alephs indexed by ``ordinals(depth)``."""
+    return st.one_of(st.integers(0, 9).map(fin), ordinals(depth).map(aleph))

@@ -32,7 +32,8 @@ from pilat import (
     power_of_two,
 )
 from pilat.cardinal import OMEGA, ONE, ZERO
-from strats import ordinals
+from oracles import cardinal_key, ordinal_key
+from strats import cardinals, ordinals
 
 W = parse_ordinal("w")
 
@@ -197,6 +198,24 @@ def test_cardinal_order():
     for i, a in enumerate(seq):
         for j, b in enumerate(seq):
             assert (a < b) == (i < j)
+
+
+_ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def _pairs(values):
+    """Pairs of values, and equal pairs, which independent draws rarely give."""
+    return st.one_of(st.tuples(values, values), values.map(lambda v: (v, v)))
+
+
+@settings(max_examples=300)
+@given(_pairs(ordinals()), _pairs(cardinals()))
+def test_order_agrees_with_the_tuple_oracle(ordinal_pair, cardinal_pair):
+    # each class gives one _cmp, from which all four comparisons are derived;
+    # test_order_against_another_type_is_a_type_error covers mixed operands
+    for (a, b), key in ((ordinal_pair, ordinal_key), (cardinal_pair, cardinal_key)):
+        for op in _ORDER:
+            assert op(a, b) == op(key(a), key(b))
 
 
 def test_cardinal_successor():

@@ -18,7 +18,8 @@ from pilat import (
     top,
     verify_chain,
 )
-from pilat.chains import ChainReport, _step_between
+from pilat.chains import ChainReport, _step_between, _verify_lines
+from pilat.partitions import _LineError, _parse_many
 
 
 def P(text, n):
@@ -112,6 +113,32 @@ def test_verify_chain_matches_covers_oracle(n):
             assert report == _verify_chain_by_covers(seq), kind
             assert (report.is_chain, report.is_saturated, report.is_maximal) == verdict, kind
         assert chain[gap - 1] < verify_chain(kinds["unsaturated"][0]).witness < chain[gap + 1]
+
+
+@pytest.mark.parametrize("lines", [
+    ["0|1|2", "00 1|2", "+1 0 2"],  # padded tokens: a maximal chain
+    ["0|1|2", "0 01|2", "0 1|2"],  # a padded token writes a line's partition again
+    ["0|1|2|3", "+3|0 1|2", "0 1 2 3"],  # padded, with a gap
+    ["0 1|2", "2|1 0"],  # one partition written two ways, read as differences
+    ["0|1|2", "0 1|2", "0 1 2"],
+], ids=" / ".join)
+def test_verify_lines_is_the_full_parse_then_verify_chain(lines):
+    n = len(lines[0].replace("|", " ").split())
+    assert _verify_lines(lines, n) == verify_chain(_parse_many(lines, n))
+
+
+@pytest.mark.parametrize("lines, index, message", [
+    (["0|1|2", "0 1|0 1|2"], 1, "duplicate element 0"),  # a repeated block text
+    (["0 1|2", "0 1|2|2"], 1, "duplicate element 2"),  # the same texts as the line before
+    (["0 1|1 0|2"], 0, "duplicate element 1"),  # one block written twice
+    (["0|1|2", "0 1|2", "0 x 1 2"], 2, "bad element token in '0 x 1 2'"),
+    (["0|1|2", "07 1|2"], 1, "element 7 outside ground set 0..2"),
+], ids=lambda v: " / ".join(v) if isinstance(v, list) else str(v))
+def test_verify_lines_raises_the_full_parse_line_error(lines, index, message):
+    for read in (_parse_many, _verify_lines):
+        with pytest.raises(_LineError, match=f"^{message}$") as info:
+            read(lines, 3)
+        assert info.value.index == index
 
 
 # ----------------------------------------------------------------- extension

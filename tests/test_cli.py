@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from pilat import (Partition, bottom, chains, covers, iter_partitions, keyframe_chain, partitions,
                    verify_chain)
 from pilat.cardinal import NEST_CAP
-from pilat.cli import _CHUNK, HASSE_VERSION, _hasse_dot, _read_partition_file, _write_lines, main
+from pilat.cli import _CHUNK, HASSE_VERSION, _hasse_dot, _read_file, _write_lines, main
 
 CENSUS3 = """\
 # pilat census v1
@@ -66,6 +66,20 @@ def test_enumerate_counts_over_the_cap_exit_2(capsys):
     for n in ("27", "-1", str(10**19)):
         rc, out, err = run(capsys, "enumerate", "--n", n, "--counts")
         assert rc == 2 and out == "" and "cap 26" in err
+
+
+@pytest.mark.parametrize("prog, argv", [
+    ("enumerate", ["enumerate", "--n"]), ("enumerate", ["enumerate", "--counts", "--n"]),
+    ("hasse", ["hasse", "--n"]), ("antichains", ["antichains", "doubleton", "--n"]),
+    ("chains keyframe", ["chains", "keyframe", "--k"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+@pytest.mark.parametrize("value", ["\u0663", "1_0", " 4", "+3", "3\n", "x", ""], ids=repr)
+def test_int_options_take_only_ascii_digits(capsys, prog, argv, value):
+    # one converter on both readers, where int() would also read these forms
+    rc, out, err = run(capsys, *argv, value)
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"pilat {prog}: error: argument {argv[-1]}: invalid int value: {value!r}")
 
 
 def test_enumerate_writes_output_file(capsys, tmp_path):
@@ -503,7 +517,7 @@ def _reference_verify(path):
     """``chains verify`` as the composition of the full parse and
     ``verify_chain``: exit code, stdout and stderr."""
     try:
-        report = verify_chain(_read_partition_file(path))
+        report = verify_chain(_read_file(path, partitions._parse_many))
     except ValueError as exc:
         return 2, "", f"error: {exc}\n"
     out = "".join(f"{key}: {'yes' if flag else 'no'}\n" for key, flag in (
