@@ -6,12 +6,21 @@ across a process (an interned ordinal, ``ALEPH0``, the model ``GCH``, a
 partition used as a dict key) cannot change in place.  Constructors write
 with ``object.__setattr__``, or through the instance ``__dict__``.
 ``FrozenRecord`` reads equality (same class only), hashing, pickling and
-the repr ``Name(field=value, ...)`` off its ``__slots__``, which the
-constructor takes positionally in that order.  ``Ordered`` derives ``<``,
-``<=``, ``>`` and ``>=`` from one ``_cmp(other)``, which returns -1, 0 or
-1; against an instance of another class each comparison is
-``NotImplemented``, so mixed comparisons raise TypeError.  Equality stays
-the class's own.
+the repr ``Name(field=value, ...)`` off ``_values()``, which defaults to
+the ``__slots__`` in order, the constructor's positional arguments.  Five
+classes are built on it: ``Cardinal``, ``PartitionShape``,
+``KeyframePlan``, ``Partition`` (on ``(n, masks)``) and ``ContinuumModel``
+(on its flag and sorted pins).  The last two keep their own repr, and the
+model its own pickling, as its constructor takes a mapping.  A record
+pickles as a constructor call, so loading one validates it: a pickled
+partition holds no cached field, and one with overlapping masks, or an n
+over the current cap, is refused on load.  ``Ordinal`` is ``Frozen`` only,
+and equal by identity.
+
+``Ordered`` derives ``<``, ``<=``, ``>`` and ``>=`` from one
+``_cmp(other)``, which returns -1, 0 or 1; against an instance of another
+class each comparison is ``NotImplemented``, so mixed comparisons raise
+TypeError.  Equality stays the class's own.
 """
 
 

@@ -50,10 +50,10 @@ def _incomparable(chosen: list[Partition], n: int) -> Iterator[Partition]:
     greedy completion of ``chosen`` to a maximal antichain.  Its first item
     is the first partition incomparable to all of ``chosen``.
 
-    It prunes the walk of ``iter_partitions`` (see ``enumeration``): one
-    iterative depth-first walk visits the prefixes of q in lexicographic RGS
-    order (Knuth, TAOCP 4A, 7.2.1.5), placing element e into an open block
-    or a new one.  Member i is bit i of two integers:
+    It is the walk of ``iter_partitions`` (see ``enumeration``) and cuts no
+    subtree: one iterative depth-first walk visits every prefix of q in
+    lexicographic RGS order (Knuth, TAOCP 4A, 7.2.1.5), placing element e
+    into an open block or a new one.  Member i is bit i of two integers:
 
     * ``leq``: the members a for which q <= a is still possible, i.e. each
       placed element lies in the a-block of the least element of its q-block;
@@ -154,6 +154,13 @@ def verify_antichain(members: Iterable[Partition], n: int, *,
     return AntichainReport(True, witness is None, witness=witness)
 
 
+def _check_pairs(n: int) -> None:
+    """The refusals of the constructions below: the ground cap, then n < 2."""
+    _check_size(n)
+    if n < 2:
+        raise ValueError("need n >= 2")
+
+
 def doubleton_antichain(n: int) -> list[Partition]:
     """All singular partitions whose one non-trivial block is a doubleton.
 
@@ -161,10 +168,8 @@ def doubleton_antichain(n: int) -> list[Partition]:
     and jointly maximal (every non-trivial partition coarsens one of them
     and bottom refines all of them); for n = 2 the single member is top.
     """
-    members = atoms(n)  # the ground-cap check comes before the n < 2 test
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return members
+    _check_pairs(n)
+    return atoms(n)
 
 
 def bipartition_antichain(n: int) -> list[Partition]:
@@ -173,26 +178,18 @@ def bipartition_antichain(n: int) -> list[Partition]:
     Pairwise incomparable, and maximal: every partition with two or more
     blocks refines some two-block partition, and top coarsens them all.
     """
-    members = coatoms(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return members
+    _check_pairs(n)
+    return coatoms(n)
 
 
 def _bipartition_lines(n: int) -> Iterator[str]:
     """The text of each member of ``bipartition_antichain(n)``, in the same
     order, with the same refusals, made at call time.  Each block occurs in
     one member only, so each text is built from its mask and not kept."""
-    _check_size(n)  # the ground-cap check comes before the n < 2 test, as in coatoms
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return _two_block_lines(n)
-
-
-def _two_block_lines(n: int) -> Iterator[str]:
+    _check_pairs(n)
     full = (1 << n) - 1
-    for a in range(1, full, 2):  # a holds 0, so it is the first block
-        yield f"{_block_text(a)}|{_block_text(full ^ a)}"
+    return (f"{_block_text(a)}|{_block_text(full ^ a)}"
+            for a in range(1, full, 2))  # a holds 0, so it is the first block
 
 
 def extend_to_maximal_antichain(members: Iterable[Partition], n: int) -> list[Partition]:

@@ -293,7 +293,7 @@ class CardinalInterval(NamedTuple):
         return f"interval[{format_cardinal(self.lo)}, {hi}]"
 
 
-class ContinuumModel(Frozen):
+class ContinuumModel(FrozenRecord):
     """GCH, or finitely many pinned values of 2^kappa at regular kappa (immutable).
 
     A custom assignment {i: j} reads 2^aleph_i = aleph_j.  Construction
@@ -327,18 +327,10 @@ class ContinuumModel(Frozen):
         object.__setattr__(self, "gch", gch)
         object.__setattr__(self, "continuum", MappingProxyType(pins))
 
-    def _key(self) -> tuple:
+    def _values(self) -> tuple:
         return self.gch, tuple(self.continuum.items())  # the pins are sorted: canonical
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
+    def __reduce__(self):  # the constructor takes the pins as a mapping
         return type(self), (self.gch, dict(self.continuum))
 
     @classmethod

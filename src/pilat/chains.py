@@ -127,7 +127,7 @@ def _verify_lines(lines: Sequence[str], n: int) -> ChainReport:
             break
         if counts:
             lo, hi = set(gone), set(new)
-            increasing.append(lo != hi and _refines(lo - hi, hi - lo))
+            increasing.append(lo != hi and _refines(lo, hi))
         counts.append(len(texts))
         before = now
     else:

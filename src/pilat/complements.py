@@ -230,15 +230,10 @@ def split_transversal_complement(p: Partition, *,
 
 def split_transversal_family(p: Partition) -> Iterator[Partition]:
     """The 2^(m-1) complements from all part_one subsets, default choices."""
-    pivot = _pick_pivot(p)
-    return _split_transversals(p, pivot)  # not a generator itself: the pivot is found at call time
-
-
-def _split_transversals(p: Partition, pivot: int) -> Iterator[Partition]:
+    pivot = _pick_pivot(p)  # refused at call time: this function is no generator
     others = tuple(b for b in range(p.block_count) if b != pivot)
-    for r in range(len(others) + 1):
-        for subset in itertools.combinations(others, r):
-            yield split_transversal_complement(p, pivot=pivot, part_one=subset)
+    return (split_transversal_complement(p, pivot=pivot, part_one=subset)
+            for r in range(len(others) + 1) for subset in itertools.combinations(others, r))
 
 
 def injection_complement(p: Partition, big_block: int,
@@ -279,43 +274,28 @@ def injection_complement_family(p: Partition, big_block: int) -> Iterator[Partit
     """
     if not 0 <= big_block < p.block_count:
         raise ValueError("block index out of range")
-    return _injections(p, big_block)  # not a generator itself: the block is checked at call time
-
-
-def _injections(p: Partition, big_block: int) -> Iterator[Partition]:
     inside = p.blocks[big_block]
-    inside_set = set(inside)
-    outside = [e for e in range(p.n) if e not in inside_set]
-    if len(outside) > len(inside):
-        return
-    for perm in itertools.permutations(inside, len(outside)):
-        yield injection_complement(p, big_block, dict(zip(outside, perm)))
+    outside = [e for e in range(p.n) if e not in inside]
+    return (injection_complement(p, big_block, dict(zip(outside, images)))
+            for images in itertools.permutations(inside, len(outside)))  # none if too few inside
 
 
 def complement_census(n: int) -> Iterator[tuple[Partition, int, int]]:
     """One ``(p, total, count_nm1)`` triple per partition p of Pi_n, in RGS order.
 
     ``total`` counts all complements of p, ``count_nm1`` those with exactly
-    n - m + 1 blocks, where m is p's block count.  Bottom and top are kept
-    (each has the single complement top resp. bottom).  n = 0 is rejected:
-    the empty partition is its own complement but has no block to count, so
-    the n - m + 1 count is meaningless.
+    n - m + 1 blocks, where m is p's block count: the most blocks a
+    complement can have (joining p's m blocks takes at least m - 1 merges).
+    Both are counted from p's block sizes, and no candidate is visited.
+    Bottom and top are kept (each has the single complement top resp.
+    bottom).  n = 0 is rejected: the empty partition is its own complement
+    but has no block to count, so the n - m + 1 count is meaningless.
     """
     _check_cap(n, CENSUS_CAP, "census")
     if n == 0:
         raise ValueError("census needs n >= 1")
-    return _census(n)  # not a generator itself: n is checked at call time
-
-
-def _census(n: int) -> Iterator[tuple[Partition, int, int]]:
-    """The census counted from each partition's block sizes: no candidate is visited.
-
-    The target n - m + 1, where m is p's block count, is the most blocks a
-    complement can have (joining p's m blocks takes at least m - 1 merges).
-    """
-    for p in iter_partitions(n):
-        total, count_nm1 = _complement_counts(p.block_sizes, n - p.block_count + 1)
-        yield p, total, count_nm1
+    return ((p, *_complement_counts(p.block_sizes, n - p.block_count + 1))
+            for p in iter_partitions(n))
 
 
 def _complement_counts(sizes: tuple[int, ...], target: int) -> tuple[int, int]:

@@ -22,8 +22,9 @@ one is a leaf.  The walk has two consumers:
   and the leaf that puts n - 1 into block j inserts " n-1" at the end of
   block j's text, n - 1 being the largest element.
 
-``complements.enumerate_complements`` and ``antichains._incomparable`` are
-two pruned copies of this walk, each with its own per-step state.
+``complements.enumerate_complements`` is a pruned copy of this walk;
+``antichains._incomparable`` is a copy that visits every node, and skips
+its table reads where both of its bitsets are 0.  Each keeps its own state.
 """
 from __future__ import annotations
 

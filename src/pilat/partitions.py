@@ -21,14 +21,17 @@ one partition or one literal.  The two streamed listings build no partition:
 texts from ``_block_text`` directly, in the same format.
 
 Input is validated once, where it enters the package.  ``Partition(n,
-masks)``, ``Partition.parse``, ``from_blocks``, ``from_labels`` and
-``from_json`` check their input in full.  Partitions the package derives
-itself are built by ``_trusted(n, masks)``, which sorts, checks and reads
-nothing: its masks must be non-empty, disjoint, cover 0..n-1 and be sorted
-by least element, and n must already have been checked.  A partition is
-``_frozen.Frozen``, so ``_trusted`` and ``__init__`` write ``n`` and
-``masks`` into the instance ``__dict__``, as ``cached_property`` does,
-which is cheaper than ``object.__setattr__``.
+masks)`` (int masks only, bools refused), ``Partition.parse``,
+``from_blocks``, ``from_labels`` and ``from_json`` check their input in
+full.  Partitions the package derives itself are built by ``_trusted(n,
+masks)``, which sorts, checks and reads nothing: its masks must be
+non-empty, disjoint, cover 0..n-1 and be sorted by least element, and n
+must already have been checked.  A partition is a ``_frozen.FrozenRecord``
+on ``(n, masks)``: it compares and hashes by them and pickles as
+``Partition(n, masks)``, so a loaded pickle is checked as any other input
+is.  ``_trusted`` and ``__init__`` write ``n`` and ``masks`` into the
+instance ``__dict__``, as ``cached_property`` does, which is cheaper than
+``object.__setattr__``.
 
 Sizes follow one rule.  Every function that takes a size n from a caller
 makes one call to ``_check_cap(n, default, what)``, which refuses an n that
@@ -44,9 +47,9 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
-from ._frozen import Frozen
+from ._frozen import FrozenRecord
 
 DEFAULT_GROUND_CAP = 128
 _CAP_ENV = "PILAT_MAX_N"
@@ -152,11 +155,15 @@ def _join_masks(n: int, masks: Iterable[int]) -> list[int]:
     return _group(find(e) for e in range(n))
 
 
-class Partition(Frozen):
+class Partition(FrozenRecord):
     """An immutable set partition of {0..n-1} in canonical block order."""
 
     def __init__(self, n: int, masks: Iterable[int]):
         _check_size(n)
+        masks = list(masks)
+        for m in masks:
+            if type(m) is not int:
+                raise TypeError(f"block masks must be ints, got {m!r}")
         blocks = tuple(sorted(masks, key=_low))
         if any(m <= 0 for m in blocks):
             raise ValueError("empty block")
@@ -236,13 +243,8 @@ class Partition(Frozen):
     def __repr__(self) -> str:
         return f"Partition({self.n}, {self.format()!r})"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.n == other.n and self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.masks))
+    def _values(self) -> tuple:
+        return self.n, self.masks
 
     def _check_ground(self, other: "Partition") -> None:
         if not isinstance(other, Partition):
@@ -255,14 +257,9 @@ class Partition(Frozen):
         return frozenset(self.masks)
 
     def __le__(self, other: "Partition") -> bool:
-        """True iff self refines other.
-
-        A block the two share lies inside itself, so only self's unshared
-        blocks are tested, against other's (see ``_refines``).
-        """
+        """True iff self refines other (see ``_refines``)."""
         self._check_ground(other)
-        mine, theirs = self._mask_set, other._mask_set
-        return _refines(mine - theirs, theirs - mine)
+        return _refines(self._mask_set, other._mask_set)
 
     def __lt__(self, other: "Partition") -> bool:
         return self != other and self <= other
@@ -311,17 +308,17 @@ class Partition(Frozen):
         return cls.from_blocks(n, blocks)
 
 
-def _refines(lo: Iterable[int], hi: Iterable[int]) -> bool:
-    """True iff each block of ``lo`` lies inside a block of ``hi``, where the
-    two sides are disjoint blocks covering the same elements (the unshared
-    blocks of two partitions of one set).
+def _refines(mine: AbstractSet[int], theirs: AbstractSet[int]) -> bool:
+    """True iff each block of ``mine`` lies inside a block of ``theirs``,
+    where the two sets hold the block masks of two partitions of one set.
 
-    Each block of lo must lie inside the block of hi holding its least
-    element; each block of either side is visited once.
+    A block the two share lies inside itself, so only the unshared blocks
+    are tested: each of mine must lie inside the block of theirs holding its
+    least element, and each unshared block of either side is visited once.
     """
-    lows = {m & -m: m for m in lo}
-    spread = sum(lows)  # the least elements of lo's blocks
-    for big in hi:
+    lows = {m & -m: m for m in mine - theirs}
+    spread = sum(lows)  # the least elements of mine's unshared blocks
+    for big in theirs - mine:
         hit = big & spread
         while hit:
             low = hit & -hit

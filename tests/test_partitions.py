@@ -89,6 +89,15 @@ def test_constructors_refuse_bad_blocks(build, message):
         build()
 
 
+@pytest.mark.parametrize("masks", [[True], [True, 2], [1, False, 2], [1.0], [1, "2"], [1, 2, 4.0]])
+def test_constructor_refuses_masks_that_are_no_int(masks):
+    # bools too, as from_blocks refuses bool elements; before the sort reads a mask
+    bad = next(m for m in masks if type(m) is not int)
+    with pytest.raises(TypeError, match=f"^block masks must be ints, got {re.escape(repr(bad))}$"):
+        Partition(len(masks), masks)
+    assert Partition(1, [1]).masks == (1,) and type(Partition(1, [1]).masks[0]) is int
+
+
 def test_from_labels_canonicalizes():
     assert Partition.from_labels([5, 5, 2]).format() == "0 1|2"
     assert Partition.from_labels([]).n == 0

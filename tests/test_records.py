@@ -10,18 +10,26 @@ Six value classes take their immutability from ``_frozen.Frozen``: Ordinal,
 Cardinal, PartitionShape, KeyframePlan, Partition and ContinuumModel.  Each
 refuses assignment, a new attribute and deletion, and the process-wide
 values ONE, ALEPH0 and GCH answer as before after every refused attempt.
-ContinuumModel's ``continuum`` is a read-only mapping, and the model
-survives pickle at every protocol, copy and deepcopy.
+All but Ordinal, which is equal by identity, are ``_frozen.FrozenRecord``s
+and define no equality or hashing of their own.  ContinuumModel's
+``continuum`` is a read-only mapping, and the model survives pickle at
+every protocol, copy and deepcopy.  A partition pickles and copies as
+``Partition(n, masks)``: the copy holds no cached field, and loading a
+pickle validates it as the constructor does.
 """
 import copy
+import inspect
 import pickle
 
 import pytest
 
+import pilat
 from pilat import (ALEPH0, GCH, AntichainReport, CardinalInterval, ChainBounds, ChainReport,
                    ContinuumModel, KeyframePlan, NonOrthoWitness, OrthoReport, Partition,
                    PartitionShape, aleph, bottom, fin, parse_ordinal, power_of_two)
-from pilat.cardinal import ONE
+from pilat._frozen import Frozen, FrozenRecord
+from pilat.cardinal import ONE, Cardinal, Ordinal
+from pilat.partitions import _trusted
 
 # (class, a function building every field afresh in declaration order,
 #  the defaulted trailing fields with their defaults)
@@ -145,3 +153,41 @@ def test_models_are_equal_by_their_pins():
     assert ContinuumModel(continuum={1: 3}) != pinned != ContinuumModel(continuum={1: 3, 2: 4})
     assert len({GCH, ContinuumModel(gch=True), ContinuumModel(), ContinuumModel()}) == 2
     assert pinned != (False, tuple(pinned.continuum.items()))  # same class only
+
+
+def test_every_frozen_value_but_ordinal_is_a_record():
+    frozen = {cls for module in vars(pilat).values() if inspect.ismodule(module)
+              for cls in vars(module).values()
+              if inspect.isclass(cls) and issubclass(cls, Frozen)
+              and cls.__module__ == module.__name__}
+    records = {Cardinal, PartitionShape, KeyframePlan, Partition, ContinuumModel}
+    assert frozen - {Frozen, FrozenRecord} == records | {Ordinal}
+    assert not issubclass(Ordinal, FrozenRecord)
+    for cls in records:
+        assert issubclass(cls, FrozenRecord)
+        for name in ("__eq__", "__hash__", "_key"):
+            assert name not in vars(cls), (cls.__name__, name)
+
+
+@pytest.mark.parametrize("p", [Partition(0, ()), bottom(3), Partition.parse("0 2|1|3 4", 5)],
+                         ids=["empty", "bottom", "mixed"])
+def test_partitions_copy_as_their_fields(p):
+    p.labels, p.blocks, p <= p  # fill the cached fields
+    twins = [pickle.loads(pickle.dumps(p, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (*twins, copy.copy(p), copy.deepcopy(p)):
+        assert type(twin) is Partition and twin is not p
+        assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+        assert vars(twin) == {"n": p.n, "masks": p.masks}
+
+
+def test_partition_pickles_are_checked_on_load(monkeypatch):
+    data = pickle.dumps(bottom(5))
+    monkeypatch.setenv("PILAT_MAX_N", "4")
+    with pytest.raises(ValueError, match=r"^ground-set cap 4: n=5 outside 0\.\.4$"):
+        pickle.loads(data)
+    monkeypatch.delenv("PILAT_MAX_N")
+    assert pickle.loads(data) == bottom(5)
+    forged = pickle.dumps(_trusted(2, (0b11, 0b11)))  # overlapping masks, made unchecked
+    with pytest.raises(ValueError, match="^blocks must be disjoint and cover 0..n-1$"):
+        pickle.loads(forged)
