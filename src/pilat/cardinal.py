@@ -11,8 +11,11 @@ may be unknown), never a guess.
 
 Each ordinal value is one object (Ordinal interns its terms), so equality
 and hashing are identity and a comparison follows one path of exponents in
-a loop.  Identity hashes follow memory addresses, so no output may depend
-on the iteration order of a set of ordinals.  Ordinals and cardinals are
+a loop.  The constructor validates terms that come from a caller; sums,
+``from_int`` and ``omega_power`` derive theirs from ordinals already
+checked and look them up through ``_interned`` without a second check.
+Identity hashes follow memory addresses, so no output may depend on the
+iteration order of a set of ordinals.  Ordinals and cardinals are
 each totally ordered by one ``_cmp``, from which ``_frozen.Ordered``
 derives the four comparisons: finite cardinals by value and below every
 aleph, alephs by their indices.  Comparing across the two classes, or
@@ -62,12 +65,7 @@ class Ordinal(Frozen, Ordered):
                 raise ValueError("coefficients must be positive")
             if i and not terms[i - 1][0] > e:
                 raise ValueError("exponents must be strictly decreasing")
-        self = _INTERNED.get(terms)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "terms", terms)
-            self = _INTERNED.setdefault(terms, self)
-        return self
+        return _interned(terms)
 
     def __reduce__(self):
         # pickled as its text, which the printer and the reader each handle in
@@ -88,11 +86,13 @@ class Ordinal(Frozen, Ordered):
             raise TypeError(f"expected an int, not {type(k).__name__}")
         if k < 0:
             raise ValueError("ordinals are non-negative")
-        return Ordinal(((ZERO, k),)) if k else ZERO
+        return _interned(((ZERO, k),)) if k else ZERO
 
     @staticmethod
     def omega_power(exp: "Ordinal", coeff: int = 1) -> "Ordinal":
-        return Ordinal(((exp, coeff),))
+        if isinstance(exp, Ordinal) and _is_int(coeff) and coeff >= 1:
+            return _interned(((exp, coeff),))
+        return Ordinal(((exp, coeff),))  # raises the constructor's error
 
     # -- order ----------------------------------------------------------
     def _cmp(self, other: "Ordinal") -> int:
@@ -126,8 +126,8 @@ class Ordinal(Frozen, Ordered):
         keep = tuple(t for t in self.terms if t[0] > e0)
         same = [t for t in self.terms if t[0] == e0]
         if same:
-            return Ordinal(keep + ((e0, same[0][1] + c0),) + other.terms[1:])
-        return Ordinal(keep + other.terms)
+            return _interned(keep + ((e0, same[0][1] + c0),) + other.terms[1:])
+        return _interned(keep + other.terms)
 
     def successor(self) -> "Ordinal":
         return self + ONE
@@ -165,6 +165,19 @@ class Ordinal(Frozen, Ordered):
 
     def __repr__(self) -> str:
         return f"Ordinal[{format_ordinal(self)}]"
+
+
+def _interned(terms: tuple) -> Ordinal:
+    """The one Ordinal with ``terms``, unchecked: the lookup half of
+    ``Ordinal.__new__``, for terms the module derives itself from valid
+    ordinals.  They must be a tuple of (Ordinal, int >= 1) pairs, no bool
+    among the ints, with strictly decreasing exponents."""
+    self = _INTERNED.get(terms)
+    if self is None:
+        self = object.__new__(Ordinal)
+        object.__setattr__(self, "terms", terms)
+        self = _INTERNED.setdefault(terms, self)
+    return self
 
 
 ZERO = Ordinal(())

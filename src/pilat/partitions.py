@@ -26,12 +26,14 @@ masks)`` (int masks only, bools refused), ``Partition.parse``,
 full.  Partitions the package derives itself are built by ``_trusted(n,
 masks)``, which sorts, checks and reads nothing: its masks must be
 non-empty, disjoint, cover 0..n-1 and be sorted by least element, and n
-must already have been checked.  A partition is a ``_frozen.FrozenRecord``
-on ``(n, masks)``: it compares and hashes by them and pickles as
-``Partition(n, masks)``, so a loaded pickle is checked as any other input
-is.  ``_trusted`` and ``__init__`` write ``n`` and ``masks`` into the
-instance ``__dict__``, as ``cached_property`` does, which is cheaper than
-``object.__setattr__``.
+must already have been checked.  ``cardinal._interned(terms)`` is the
+ordinal counterpart: sums, ``from_int`` and ``omega_power`` intern the
+terms they derive without the constructor's checks.  A partition is a
+``_frozen.FrozenRecord`` on ``(n, masks)``: it compares and hashes by them
+and pickles as ``Partition(n, masks)``, so a loaded pickle is checked as
+any other input is.  ``_trusted`` and ``__init__`` write ``n`` and
+``masks`` into the instance ``__dict__``, as ``cached_property`` does,
+which is cheaper than ``object.__setattr__``.
 
 Sizes follow one rule.  Every function that takes a size n from a caller
 makes one call to ``_check_cap(n, default, what)``, which refuses an n that
@@ -102,9 +104,11 @@ def _members_mask(members: Iterable[int], n: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _bit_table(n: int) -> dict[str, int]:
-    """The decimal text of each element of {0..n-1} mapped to its bit."""
-    return {str(e): 1 << e for e in range(n)}
+def _bit_table(n: int) -> tuple[dict[str, int], dict[int, int]]:
+    """The decimal text of each element of {0..n-1} mapped to its bit, and
+    each of those bits mapped to itself, its lowest bit."""
+    bits = [1 << e for e in range(n)]
+    return dict(zip(map(str, range(n)), bits)), dict(zip(bits, bits))
 
 
 def _low(mask: int) -> int:
@@ -379,27 +383,31 @@ def _format_many(parts: Iterable[Partition]) -> list[str]:
 class _BlockMasks(dict):
     """Block text -> its mask, built by ``__missing__`` on the first lookup.
 
-    A text is stored only when each of its tokens is a key of
-    ``_bit_table(n)`` and no token repeats (a repeat would carry into
-    another bit); any other text raises KeyError and stores nothing.  The
-    empty text maps to 0.  ``low`` maps each stored mask to its lowest bit,
-    the sort key of canonical block order.  ``full`` is the mask of
-    {0..n-1}.  Unless n is an int in 1..cap (and PILAT_MAX_N is well
-    formed), the table and ``full`` are empty, so every text but the empty
-    one misses: such input is for ``_parse_literal`` to report.
+    The memo starts with the one-element texts, a copy of the first table of
+    ``_bit_table(n)``, so the n singleton blocks of a bottom line are hits.
+    Any other text is stored only when each of its tokens is a key of that
+    table and no token repeats (a repeat would carry into another bit);
+    otherwise it raises KeyError and stores nothing.  The empty text maps
+    to 0.  ``low`` maps each stored mask to its lowest bit, the sort key of
+    canonical block order; it starts as a copy of the second table.
+    ``full`` is the mask of {0..n-1}.  Unless n is an int in 1..cap (and
+    PILAT_MAX_N is well formed), the tables and ``full`` are empty, so every
+    text but the empty one misses: such input is for ``_parse_literal`` to
+    report.
     """
 
     def __init__(self, n: int):
-        super().__init__()
         try:
             fast = type(n) is int and 0 < n <= ground_cap()
         except ValueError:  # a malformed PILAT_MAX_N
             fast = False
         if not fast:
             n = 0
-        self.bits = _bit_table(n).__getitem__
+        texts, lows = _bit_table(n)
+        super().__init__(texts)
+        self.bits = texts.__getitem__
         self.full = (1 << n) - 1
-        self.low: dict[int, int] = {}
+        self.low = lows.copy()
 
     def __missing__(self, text: str) -> int:
         ids = text.split()

@@ -191,6 +191,33 @@ def test_ordinal_order_is_total(a, b):
     assert format_ordinal(parse_ordinal(format_ordinal(a))) == format_ordinal(a)
 
 
+@settings(max_examples=200)
+@given(ordinals(), ordinals(), st.integers(1, 9), st.integers(0, 9), ordinal_texts)
+def test_derived_ordinals_are_the_constructors_own(a, b, coeff, k, text):
+    # sums, powers of w, from_int and the reader intern the terms they derive
+    # unchecked: the validating constructor must accept those terms and
+    # return the very same object
+    for x in (a + b, Ordinal.omega_power(a, coeff), Ordinal.from_int(k),
+              parse_ordinal(text)):
+        assert Ordinal(x.terms) is x
+
+
+_BAD_POWERS = st.one_of(
+    st.tuples(ordinals(), st.sampled_from([0, -1, True, 2.5])),
+    st.tuples(st.sampled_from([1, "w", None, (), 1.0]), st.integers(1, 4)),
+)
+
+
+@given(_BAD_POWERS)
+def test_omega_power_refuses_as_the_constructor_does(bad):
+    exp, coeff = bad
+    with pytest.raises((TypeError, ValueError)) as expected:
+        Ordinal(((exp, coeff),))
+    with pytest.raises(expected.type) as got:
+        Ordinal.omega_power(exp, coeff)
+    assert str(got.value) == str(expected.value)
+
+
 # ----------------------------------------------------------------- cardinals
 
 def test_cardinal_order():

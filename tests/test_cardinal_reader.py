@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from pilat.cardinal import (GCH, NEST_CAP, OMEGA, ONE, Cardinal, CardinalInterval,
                             ContinuumModel, Ordinal, PartitionShape, aleph, card_cofinality,
-                            card_pow, complement_count_symbolic, evaluate, fin, format_ordinal,
-                            parse_ordinal, _nests_past_cap)
+                            card_pow, complement_count_symbolic, evaluate, fin, format_cardinal,
+                            format_ordinal, parse_ordinal, _nests_past_cap)
 from pilat.cli import main
 from test_cli_contract import expressions, ordinals as ordinal_texts
 
@@ -330,6 +330,25 @@ def _built(levels, level):
     for _ in range(levels):
         ordinal = level(ordinal)
     return ordinal
+
+
+def test_deep_expressions_call_no_validating_constructor(monkeypatch):
+    # the reader's sums, powers of w and integers, and the successors of the
+    # power rules, intern terms derived from checked ordinals: a lost
+    # shortcut shows here as constructor calls, without a timing
+    calls = [0]
+    new = Ordinal.__new__
+
+    def counted(cls, terms=()):
+        calls[0] += 1
+        return new(cls, terms)
+
+    monkeypatch.setattr(Ordinal, "__new__", counted)
+    for leaf, form in enumerate(("aleph({})", "pow(fin(2), aleph({}))", "cf(aleph({}))"), 1):
+        assert format_cardinal(evaluate(form.format(_nested(200, str(leaf))))).startswith("aleph(")
+    assert calls[0] == 0
+    Ordinal(((ONE, 1),))  # the counter is live
+    assert calls[0] == 1
 
 
 def test_cap_on_ordinals_and_whole_text():

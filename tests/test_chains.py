@@ -19,7 +19,7 @@ from pilat import (
     verify_chain,
 )
 from pilat.chains import ChainReport, _step_between, _verify_lines
-from pilat.partitions import _LineError, _parse_many
+from pilat.partitions import _BlockMasks, _LineError, _parse_many
 
 
 def P(text, n):
@@ -121,10 +121,33 @@ def test_verify_chain_matches_covers_oracle(n):
     ["0|1|2|3", "+3|0 1|2", "0 1 2 3"],  # padded, with a gap
     ["0 1|2", "2|1 0"],  # one partition written two ways, read as differences
     ["0|1|2", "0 1|2", "0 1 2"],
+    # steps that add one block, which is then the union of the dropped ones
+    ["0|1|2|3", "0 3|1|2", "0 3|1 2", "0 1 2 3"],  # merges of non-adjacent blocks
+    ["0|1|2|3|4", "0 2 4|1|3", "0 1 2 3 4"],  # three blocks merged in one step: a gap
+    ["0|1|2", "0 1|2", "1 0|2", "0 1 2"],  # one block rewritten under another text
+    # a step that adds two blocks, for which the refinement test runs
+    ["0|1|2|3", "0 1|2 3", "0 2|1 3", "0 1 2 3"],  # two blocks for two: no chain
 ], ids=" / ".join)
 def test_verify_lines_is_the_full_parse_then_verify_chain(lines):
     n = len(lines[0].replace("|", " ").split())
     assert _verify_lines(lines, n) == verify_chain(_parse_many(lines, n))
+
+
+def test_verify_lines_maps_each_merged_text_once(monkeypatch):
+    # the block memo starts with the one-element texts, so a 128-line chain
+    # file misses it once per merged block and never for a singleton: a lost
+    # seed (255 misses) fails here without a timing
+    calls = [0]
+    missing = _BlockMasks.__missing__
+
+    def counted(memo, text):
+        calls[0] += 1
+        return missing(memo, text)
+
+    monkeypatch.setattr(_BlockMasks, "__missing__", counted)
+    lines = [p.format() for p in keyframe_chain(7)]
+    assert _verify_lines(lines, 128) == ChainReport(True, True, True)
+    assert calls[0] == 127
 
 
 @pytest.mark.parametrize("lines, index, message", [

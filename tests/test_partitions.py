@@ -569,12 +569,14 @@ def test_parse_many_matches_the_reference_parse(literal_file, cap):
 
 def test_block_memo_stores_only_exact_masks():
     memo = _BlockMasks(4)
+    singletons = {"0": 0b1, "1": 0b10, "2": 0b100, "3": 0b1000}
+    assert dict(memo) == singletons  # seeded with the one-element texts
     assert memo[" 2  0"] == 0b101 and memo[""] == 0
     for text in ("0 0", "1 3 1", "07", "+3", "4", "x 1"):
         with pytest.raises(KeyError):
             memo[text]
-    assert dict(memo) == {" 2  0": 0b101, "": 0}
-    assert memo.low == {0b101: 0b1, 0: 0}
+    assert dict(memo) == {**singletons, " 2  0": 0b101, "": 0}
+    assert memo.low == {0b1: 0b1, 0b10: 0b10, 0b100: 0b100, 0b1000: 0b1000, 0b101: 0b1, 0: 0}
 
 
 # ---------------------------------------------------------------------- caps
