@@ -5,9 +5,14 @@ w^b1*c1 + ... + w^bk*ck with strictly decreasing ordinal exponents and
 positive integer coefficients.  Cardinals are either finite or alephs
 indexed by such an ordinal.  Continuum behaviour is supplied by a model:
 either GCH, or a finite list of values for 2^kappa at regular kappa.
-Under a partial model a power evaluates to an exact cardinal only when the
-model forces it; otherwise the result is an interval [lower, upper] (upper
-may be unknown), never a guess.
+Under a partial model a power evaluates to an exact cardinal only when
+pilat's rules (GCH, the pinned values, and bracketing between them) fix
+it; otherwise the result is the interval [lower, upper] those rules give
+(upper may be unknown), never a guess.  The interval holds the true value
+but is not always tight: ZFC may fix a power that it leaves open, as
+Hausdorff's formula fixes aleph_2^aleph_0 = aleph_2 under the pin
+2^aleph_0 = aleph_1, which prints ``interval[aleph(2), unbounded]``
+(ROADMAP item 17).
 
 Each ordinal value is one object (Ordinal interns its terms), so equality
 and hashing are identity and a comparison follows one path of exponents in
@@ -635,15 +640,14 @@ class _Parser:
     def peek(self) -> str | None:
         return self.toks[self.pos]
 
-    def take(self, *expected: str) -> str:
-        """The next token, or each of ``expected`` in turn: the last taken."""
-        for want in expected or (None,):
-            tok = self.toks[self.pos]
-            if tok is None:
-                raise ValueError("unexpected end of expression")
-            if want is not None and tok != want:
-                raise ValueError(f"expected {want!r}, got {tok!r}")
-            self.pos += 1
+    def take(self, expected: str | None = None) -> str:
+        """The next token, refused unless it is ``expected`` when that is given."""
+        tok = self.toks[self.pos]
+        if tok is None:
+            raise ValueError("unexpected end of expression")
+        if expected is not None and tok != expected:
+            raise ValueError(f"expected {expected!r}, got {tok!r}")
+        self.pos += 1
         return tok
 
     def int_(self) -> int:
@@ -752,20 +756,28 @@ class _Parser:
         return _exact(self.cardinal(model))
 
     def shape(self, model: ContinuumModel) -> PartitionShape:
-        self.take("shape", "(", "full", "=")
+        self.take("shape")
+        self.take("(")
+        self.take("full")
+        self.take("=")
         full = self.int_()
-        self.take(",", "kappa", "=")
+        self.take(",")
+        self.take("kappa")
+        self.take("=")
         kappa = self.exact_cardinal(model)
         residue = None
         if self.peek() == ",":
-            self.take(",", "lambda", "=")
+            self.take(",")
+            self.take("lambda")
+            self.take("=")
             residue = self.exact_cardinal(model)
         self.take(")")
         return PartitionShape(kappa=kappa, full_blocks=min(full, 2), residue=residue)
 
     def expression(self, model: ContinuumModel):
         if self.peek() == "complements":
-            self.take("complements", "(")
+            self.take("complements")
+            self.take("(")
             shp = self.shape(model)
             self.take(")")
             return complement_count_symbolic(shp, model)

@@ -36,6 +36,13 @@ the writing stops quietly, nothing goes to stderr and the exit code is the
 handler's; ``entry`` points stdout at the null device, so that the flush at
 interpreter exit reports nothing either.
 
+Each request loads only what it runs.  ``partitions`` is the one kernel
+this module imports at load, since every finite command and ``_read_file``
+use it.  Each handler imports the one command module it runs
+(``enumeration``, ``chains``, ``antichains``, ``complements``, ``ortho`` or
+``cardinal``) as ``import pilat.x as y``, the cheapest import form to
+repeat on every request, so ``import pilat.cli`` loads no command module.
+
 A partition file (``chains verify FILE``, ``hasse --chain``/``--antichain``)
 holds one literal per non-blank line over {0..n-1}, where n is the first
 literal's token count.  The one reader, ``_read_file``, hands the lines and
@@ -50,21 +57,17 @@ import functools
 import itertools
 import os
 import sys
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TextIO
 
-from . import antichains as ac
-from . import cardinal as card
-from . import chains as ch
-from . import complements as co
-from . import ortho
-from .enumeration import _atom_coatom_counts, _partition_lines, bell, iter_partitions
 from .partitions import (Partition, _check_cap, _format_many, _LineError, _parse_many,
                          effective_cap)
 
 if TYPE_CHECKING:
     import argparse
     from typing import TypeVar
+
+    from . import cardinal
 
     _T = TypeVar("_T")
 
@@ -100,18 +103,24 @@ def _yesno(flag: bool) -> str:
 
 
 def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
+    import pilat.enumeration as en
+
     if args.counts:
-        bell_n = bell(args.n)  # checks the counting cap before 2^(n-1) is built
-        atom_count, coatom_count = _atom_coatom_counts(args.n)
+        bell_n = en.bell(args.n)  # checks the counting cap before 2^(n-1) is built
+        atom_count, coatom_count = en._atom_coatom_counts(args.n)
         return 0, [f"n={args.n} bell={bell_n} atoms={atom_count} coatoms={coatom_count}"]
-    return 0, _partition_lines(args.n)
+    return 0, en._partition_lines(args.n)
 
 
 def _cmd_keyframe(args) -> tuple[int, list[str]]:
+    import pilat.chains as ch
+
     return 0, _format_many(ch.keyframe_chain(args.k))
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
+    import pilat.chains as ch
+
     report = _read_file(args.file, ch._verify_lines)
     out = [f"chain: {_yesno(report.is_chain)}",
            f"saturated: {_yesno(report.is_saturated)}",
@@ -122,6 +131,8 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
 
 
 def _cmd_antichains(args) -> tuple[int, Iterable[str]]:
+    import pilat.antichains as ac
+
     if args.antichain_kind == "bipartition" and not args.verify:
         return 0, ac._bipartition_lines(args.n)  # 2^(n-1) - 1 lines, streamed
     members = (ac.doubleton_antichain(args.n) if args.antichain_kind == "doubleton"
@@ -140,6 +151,8 @@ def _cmd_antichains(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_complements(args) -> tuple[int, list[str]]:
+    import pilat.complements as co
+
     # no field holds a comma, quote or newline, so no CSV quoting is needed
     lines = [CENSUS_VERSION, "partition,m,block_sizes,total,count_nm1,grieser"]
     for p, total, count_nm1 in co.complement_census(args.n):
@@ -149,12 +162,16 @@ def _cmd_complements(args) -> tuple[int, list[str]]:
 
 
 def _cmd_witness(args) -> tuple[int, list[str]]:
+    import pilat.ortho as ortho
+
     w = ortho.non_ortho_witness(args.n)
     return 0, [f"n={w.n} atoms={w.atom_count} coatoms={w.coatom_count}",
                f"no orthocomplementation: {w.reason}"]
 
 
 def _cmd_search(args) -> tuple[int, list[str]]:
+    import pilat.ortho as ortho
+
     found = ortho.search_orthocomplementation(args.n, exhaustive=args.exhaustive)
     if found is None:
         return 0, ["none"]
@@ -162,8 +179,9 @@ def _cmd_search(args) -> tuple[int, list[str]]:
     return 0, ["found", *(f"{text[a]} -> {text[b]}" for a, b in found.items())]
 
 
-def _load_model(source: str) -> card.ContinuumModel:
+def _load_model(source: str, card: ModuleType) -> cardinal.ContinuumModel:
     """GCH, or the model in a JSON file; an error in the file names it.
+    ``card`` is the ``cardinal`` module, which the caller has imported.
 
     A file nested past the cap is refused before it is decoded, so the
     answer does not depend on the decoder's own recursion limits."""
@@ -184,7 +202,9 @@ def _load_model(source: str) -> card.ContinuumModel:
 
 
 def _cmd_cardinal(args) -> tuple[int, list[str]]:
-    result = card.evaluate(args.expr, _load_model(args.model))
+    import pilat.cardinal as card
+
+    result = card.evaluate(args.expr, _load_model(args.model, card))
     return 0, [card.format_result(result)]
 
 
@@ -229,8 +249,10 @@ def _cmd_hasse(args) -> tuple[int, list[str]]:
     if len(sources) != 1:
         raise ValueError("give exactly one of --n, --chain, --antichain")
     if args.n is not None:
+        import pilat.enumeration as en
+
         _check_cap(args.n, HASSE_CAP, "hasse")
-        parts = list(iter_partitions(args.n))
+        parts = list(en.iter_partitions(args.n))
     else:
         parts = _read_file(sources[0], _parse_many)
     return 0, _hasse_dot(parts)

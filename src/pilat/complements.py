@@ -32,7 +32,6 @@ from .partitions import Partition, _check_cap, _join_masks, _trusted, _with_sing
 
 COMPLEMENT_CAP = 11
 CENSUS_CAP = 9
-ORACLE_CAP = 7
 
 
 def is_complement(p: Partition, q: Partition) -> bool:
@@ -339,18 +338,3 @@ def _complement_counts(sizes: tuple[int, ...], target: int) -> tuple[int, int]:
             if pieces[0] == target:
                 count += ways
     return total, count
-
-
-def relative_complement_in(b: Partition, a: Partition, c: Partition) -> Partition | None:
-    """Some z with a <= z <= c, b & z == a and b | z == c, if one exists.
-
-    Brute force over the interval [a, c]; partition lattices are
-    relatively complemented, so for a <= b <= c this always finds one.
-    """
-    if not (a <= b and b <= c):
-        raise ValueError("need a <= b <= c")
-    _check_cap(b.n, ORACLE_CAP, "complement oracle")
-    for z in iter_partitions(b.n):
-        if a <= z and z <= c and (b & z) == a and (b | z) == c:
-            return z
-    return None

@@ -38,14 +38,13 @@ from pilat import (
     parse_ordinal,
     PartitionShape,
     power_of_two,
-    relative_complement_in,
     search_orthocomplementation,
     split_transversal_family,
     top,
     verify_antichain,
     verify_chain,
 )
-from oracles import naive_complements
+from oracles import naive_complements, relative_complement_in
 
 
 @contextlib.contextmanager

@@ -1091,3 +1091,53 @@ def test_runtime_loads_only_the_standard_library(tmp_path):
     model_code, model_loaded = report["model"]
     assert model_code == [0, True] and "json" in model_loaded
     assert "argparse" not in model_loaded
+
+
+LOADING_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import pilat.cli
+def loaded():
+    return sorted(m for m in sys.modules if m == "pilat" or m.startswith("pilat."))
+at_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = pilat.cli.main(sys.argv[2:])
+print(json.dumps({"import": at_import, "answer": [code, bool(out.getvalue())],
+                  "request": loaded()}))
+"""
+FINITE_COMMAND_MODULES = ["pilat.antichains", "pilat.chains", "pilat.complements",
+                          "pilat.ortho"]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["enumerate", "--n", "3"], ["pilat.cardinal", *FINITE_COMMAND_MODULES]),
+    (["cardinal", "eval", "aleph(1)"], ["pilat.enumeration", *FINITE_COMMAND_MODULES]),
+])
+def test_each_command_loads_only_the_modules_it_runs(argv, absent):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", LOADING_PROBE, src, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == ["pilat", "pilat._frozen", "pilat.cli", "pilat.partitions"]
+    assert report["answer"] == [0, True]
+    assert not set(absent) & set(report["request"])
+
+
+def test_package_exports_resolve_lazily_to_their_submodules():
+    import importlib
+
+    import pilat
+
+    assert pilat.__all__ and set(pilat.__all__) <= set(dir(pilat))
+    for name in pilat.__all__:
+        value = getattr(pilat, name)
+        assert value is getattr(importlib.import_module(f"pilat.{pilat._EXPORTS[name]}"), name)
+        assert vars(pilat)[name] is value  # stored, so a later lookup is a plain global
+    namespace = {}
+    exec("from pilat import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(pilat.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pilat.no_such_name  # noqa: B018
+    from pilat import ortho  # a submodule outside the table still imports
+    assert ortho is sys.modules["pilat.ortho"]

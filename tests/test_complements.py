@@ -21,13 +21,12 @@ from pilat import (
     iter_partitions,
     join,
     meet,
-    relative_complement_in,
     split_transversal_complement,
     split_transversal_family,
     top,
 )
 from pilat.complements import COMPLEMENT_CAP, _complement_counts
-from oracles import naive_complements
+from oracles import naive_complements, relative_complement_in
 from strats import partitions
 from test_census_closed_form import complement_total
 

@@ -30,7 +30,6 @@ from pilat import (
     lift_subset_chain,
     meet,
     non_ortho_witness,
-    relative_complement_in,
     search_orthocomplementation,
     stirling2,
     top,
@@ -41,6 +40,7 @@ from pilat.antichains import _bipartition_lines
 from pilat.cli import _cmd_hasse
 from pilat.enumeration import _partition_lines
 from pilat.partitions import _BlockMasks, _format_many, _LineError, _parse_many
+from oracles import relative_complement_in
 from strats import partition_pairs, partition_triples, partitions
 
 
