@@ -7,15 +7,18 @@ partition used as a dict key) cannot change in place.  Constructors write
 with ``object.__setattr__``, or through the instance ``__dict__``.
 ``FrozenRecord`` reads equality (same class only), hashing, pickling and
 the repr ``Name(field=value, ...)`` off ``_values()``, which defaults to
-the ``__slots__`` in order, the constructor's positional arguments.  Five
-classes are built on it: ``Cardinal``, ``PartitionShape``,
-``KeyframePlan``, ``Partition`` (on ``(n, masks)``) and ``ContinuumModel``
-(on its flag and sorted pins).  The last two keep their own repr, and the
-model its own pickling, as its constructor takes a mapping.  A record
-pickles as a constructor call, so loading one validates it: a pickled
-partition holds no cached field, and one with overlapping masks, or an n
-over the current cap, is refused on load.  ``Ordinal`` is ``Frozen`` only,
-and equal by identity.
+the ``__slots__`` in order, the constructor's positional arguments;
+``_set(*values)`` writes them in that order.  Every value class but
+``Ordinal`` is built on it, the result reports and ``cli._Arg`` included,
+``Partition`` on ``(n, masks)`` and ``ContinuumModel`` on its flag and
+sorted pins; those two keep their own repr, and the model its own
+pickling, as its constructor takes a mapping.  None is a tuple, so no
+record equals a plain tuple, and a record class is cheap to build at
+import, with no ``collections`` code run for it.  A record pickles as a
+constructor call, so loading one validates it: a pickled partition holds
+no cached field, and one with overlapping masks, or an n over the current
+cap, is refused on load.  ``Ordinal`` is ``Frozen`` only, and equal by
+identity.
 
 ``Ordered`` derives ``<``, ``<=``, ``>`` and ``>=`` from one
 ``_cmp(other)``, which returns -1, 0 or 1; against an instance of another
@@ -35,6 +38,11 @@ class Frozen:
 
 class FrozenRecord(Frozen):
     __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Write ``values`` to the fields in slot order (constructors only)."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

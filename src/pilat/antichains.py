@@ -8,8 +8,9 @@ of Pi_n, with the members as the bits of two integers (see
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
+from ._frozen import FrozenRecord
 from .enumeration import atoms, coatoms
 from .partitions import (Partition, _block_text, _check_cap, _check_size, _checked_members,
                          _mask_elements, _trusted)
@@ -17,12 +18,15 @@ from .partitions import (Partition, _block_text, _check_cap, _check_size, _check
 ANTICHAIN_CAP = 10
 
 
-class AntichainReport(NamedTuple):
-    is_antichain: bool
-    is_maximal: bool | None
-    witness: object = None
-    """A comparable member pair, or a partition no member is comparable to.
-    ``is_maximal`` is None when the maximality sweep was skipped."""
+class AntichainReport(FrozenRecord):
+    """The verdict on an antichain.  ``witness`` is a comparable member
+    pair, or a partition no member is comparable to.  ``is_maximal`` is
+    None when the maximality sweep was skipped."""
+
+    __slots__ = ("is_antichain", "is_maximal", "witness")
+
+    def __init__(self, is_antichain: bool, is_maximal: bool | None, witness: object = None):
+        self._set(is_antichain, is_maximal, witness)
 
 
 def _comparable_pair(members: list[Partition]) -> tuple[Partition, Partition] | None:

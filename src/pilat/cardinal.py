@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from ._frozen import Frozen, FrozenRecord, Ordered
 
@@ -300,11 +300,13 @@ def aleph(index: Ordinal | int) -> Cardinal:
 ALEPH0 = aleph(0)
 
 
-class CardinalInterval(NamedTuple):
+class CardinalInterval(FrozenRecord):
     """All the model says: the value lies in [lo, hi] (hi None = no bound)."""
 
-    lo: Cardinal
-    hi: Cardinal | None
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Cardinal, hi: Cardinal | None):
+        self._set(lo, hi)
 
     def __str__(self) -> str:
         hi = "unbounded" if self.hi is None else format_cardinal(self.hi)
@@ -508,10 +510,7 @@ class PartitionShape(FrozenRecord):
                 raise ValueError("one full block needs the residue cardinal")
             if residue > kappa:
                 raise ValueError("residue cannot exceed the ground set")
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "full_blocks", full_blocks)
-        object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "trivial", trivial)
+        self._set(kappa, full_blocks, residue, trivial)
 
 
 def complement_count_symbolic(shape: PartitionShape, model: ContinuumModel = GCH):
@@ -531,7 +530,7 @@ def complement_count_symbolic(shape: PartitionShape, model: ContinuumModel = GCH
     return power_of_two(shape.kappa, model)
 
 
-class ChainBounds(NamedTuple):
+class ChainBounds(FrozenRecord):
     """Cardinality facts about maximal chains in the lattice on kappa.
 
     Well-ordered maximal chains exist exactly in sizes cf(kappa) through
@@ -540,11 +539,14 @@ class ChainBounds(NamedTuple):
     size only kappa.
     """
 
-    kappa: Cardinal
-    well_ordered_low: Cardinal
-    well_ordered_high: Cardinal
-    long_chain_exceeds: Cardinal
-    short_chain_in_pow: Cardinal
+    __slots__ = ("kappa", "well_ordered_low", "well_ordered_high", "long_chain_exceeds",
+                 "short_chain_in_pow")
+
+    def __init__(self, kappa: Cardinal, well_ordered_low: Cardinal,
+                 well_ordered_high: Cardinal, long_chain_exceeds: Cardinal,
+                 short_chain_in_pow: Cardinal):
+        self._set(kappa, well_ordered_low, well_ordered_high, long_chain_exceeds,
+                  short_chain_in_pow)
 
 
 def chain_cardinality_bounds(kappa: Cardinal) -> ChainBounds:

@@ -27,7 +27,7 @@ asks its caller to parse.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._frozen import FrozenRecord
 from .partitions import (Partition, _BlockMasks, _check_cap, _checked_members, _members_mask,
@@ -37,13 +37,16 @@ from .partitions import (Partition, _BlockMasks, _check_cap, _checked_members, _
 MAXCHAIN_CAP = 6
 
 
-class ChainReport(NamedTuple):
-    is_chain: bool
-    is_saturated: bool
-    is_maximal: bool
-    witness: object = None
-    """Failure evidence: an index pair for a non-chain, an insertable
-    partition for a non-saturated gap, or the missing endpoint."""
+class ChainReport(FrozenRecord):
+    """The verdict on a chain.  ``witness`` is the failure evidence: an
+    index pair for a non-chain, an insertable partition for a
+    non-saturated gap, or the missing endpoint."""
+
+    __slots__ = ("is_chain", "is_saturated", "is_maximal", "witness")
+
+    def __init__(self, is_chain: bool, is_saturated: bool, is_maximal: bool,
+                 witness: object = None):
+        self._set(is_chain, is_saturated, is_maximal, witness)
 
 
 def _step_between(lo: Partition, hi: Partition) -> Partition:

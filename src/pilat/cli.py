@@ -58,8 +58,9 @@ import itertools
 import os
 import sys
 from types import ModuleType, SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
+from ._frozen import FrozenRecord
 from .partitions import (Partition, _check_cap, _format_many, _LineError, _parse_many,
                          effective_cap)
 
@@ -273,17 +274,19 @@ def _int(text: str) -> int:
 _int.__name__ = "int"
 
 
-class _Arg(NamedTuple):
+class _Arg(FrozenRecord):
     """One argument of a command: an option when ``name`` starts with "--",
     otherwise a positional named by its dest.  ``kind`` converts an
     option's value (``_int`` or str), or is bool for a flag, which is False
-    unless given."""
-    name: str
-    kind: Callable = str
-    required: bool = False  # options only: every positional is required
-    default: object = None
-    help: str | None = None
-    choices: tuple[str, ...] | None = None
+    unless given.  ``required`` is read for options only: every positional
+    is required."""
+
+    __slots__ = ("name", "kind", "required", "default", "help", "choices")
+
+    def __init__(self, name: str, kind: Callable = str, required: bool = False,
+                 default: object = None, help: str | None = None,
+                 choices: tuple[str, ...] | None = None):
+        self._set(name, kind, required, default, help, choices)
 
     @property
     def dest(self) -> str:

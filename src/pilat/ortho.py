@@ -20,8 +20,9 @@ witness is offered from n = 5 by choice.
 from __future__ import annotations
 
 from math import comb
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
+from ._frozen import FrozenRecord
 from .complements import enumerate_complements
 from .enumeration import _atom_coatom_counts, iter_partitions
 from .partitions import Partition, _check_cap, _check_size
@@ -31,10 +32,14 @@ SEARCH_CAP = 4
 SEARCH_CAP_EXHAUSTIVE = 5
 
 
-class OrthoReport(NamedTuple):
-    ok: bool
-    violated_axiom: str | None = None  # "i", "ii", "iii" or "iv"
-    witness: object = None
+class OrthoReport(FrozenRecord):
+    """The verdict on a map: ``violated_axiom`` is "i", "ii", "iii", "iv"
+    or None, and ``witness`` the offending element or pair."""
+
+    __slots__ = ("ok", "violated_axiom", "witness")
+
+    def __init__(self, ok: bool, violated_axiom: str | None = None, witness: object = None):
+        self._set(ok, violated_axiom, witness)
 
 
 def check_ortho_map(mapping: Mapping[Partition, Partition], n: int) -> OrthoReport:
@@ -127,11 +132,11 @@ def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partit
     return assign(0)
 
 
-class NonOrthoWitness(NamedTuple):
-    n: int
-    atom_count: int
-    coatom_count: int
-    reason: str
+class NonOrthoWitness(FrozenRecord):
+    __slots__ = ("n", "atom_count", "coatom_count", "reason")
+
+    def __init__(self, n: int, atom_count: int, coatom_count: int, reason: str):
+        self._set(n, atom_count, coatom_count, reason)
 
 
 def non_ortho_witness(n: int) -> NonOrthoWitness:

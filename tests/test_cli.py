@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from pilat import (Partition, bottom, chains, covers, iter_partitions, keyframe_chain, partitions,
                    verify_chain)
 from pilat.cardinal import NEST_CAP
-from pilat.cli import _CHUNK, HASSE_VERSION, _hasse_dot, _read_file, _write_lines, main
+from pilat.cli import (_CHUNK, _COMMANDS, _GROUPS, HASSE_VERSION, _hasse_dot, _read_file,
+                       _write_lines, main)
 
 CENSUS3 = """\
 # pilat census v1
@@ -1083,8 +1084,8 @@ def test_runtime_loads_only_the_standard_library(tmp_path):
                and m.partition(".")[0] != "pilat"]
     assert foreign == []
     assert not [m for m in loaded if m.partition(".")[0] == "multiprocessing"]
-    # records are NamedTuples and __slots__ classes: dataclasses would also
-    # load inspect (with ast, dis and tokenize), about half the import time
+    # records are __slots__ classes on _frozen.FrozenRecord: dataclasses would
+    # also load inspect (with ast, dis and tokenize), about half the import time
     assert "dataclasses" not in loaded and "inspect" not in loaded
     # plain argv is read without argparse, and json is loaded for a model file only
     assert "argparse" not in loaded and "json" not in loaded
@@ -1141,3 +1142,48 @@ def test_package_exports_resolve_lazily_to_their_submodules():
         pilat.no_such_name  # noqa: B018
     from pilat import ortho  # a submodule outside the table still imports
     assert ortho is sys.modules["pilat.ortho"]
+
+
+# Runs in a fresh isolated interpreter in which building a namedtuple class
+# (typing.NamedTuple builds one) raises: imports pilat.cli and serves one
+# request per argument, its tokens separated by tabs, reporting each exit
+# code and stdout.
+NO_NAMEDTUPLE_PROBE = """
+import collections, contextlib, io, json, sys
+def refuse(typename, *args, **kwargs):
+    raise AssertionError(f"namedtuple {typename} built")
+collections.namedtuple = refuse
+sys.path.insert(0, sys.argv[1])
+import pilat.cli
+def serve(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return [pilat.cli.main(argv), out.getvalue()]
+print(json.dumps([serve(request.split("\\t")) for request in sys.argv[2:]]))
+"""
+
+
+def test_every_command_runs_without_building_a_namedtuple(tmp_path, capsys):
+    chain = tmp_path / "chain.txt"
+    chain.write_text("0|1|2\n0 1|2\n0 1 2\n", encoding="utf-8")
+    requests = [
+        ["enumerate", "--n", "3"],
+        ["chains", "keyframe", "--k", "2"],
+        ["chains", "verify", str(chain)],
+        ["antichains", "doubleton", "--n", "4", "--verify"],
+        ["complements", "census", "--n", "3"],
+        ["ortho", "search", "--n", "4"],
+        ["ortho", "witness", "--n", "5"],
+        ["cardinal", "eval", "complements(shape(full=1, kappa=aleph(1), lambda=aleph(0)))"],
+        ["hasse", "--chain", str(chain)],
+    ]
+    paths = {tuple(argv[:2]) if argv[0] in _GROUPS else (argv[0],) for argv in requests}
+    assert paths == set(_COMMANDS)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", NO_NAMEDTUPLE_PROBE, src,
+                           *("\t".join(argv) for argv in requests)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    answers = json.loads(proc.stdout)
+    assert [code for code, _ in answers] == [0] * len(requests)
+    assert answers == [list(run(capsys, *argv)[:2]) for argv in requests]

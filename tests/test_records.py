@@ -1,25 +1,28 @@
 """Value semantics of the package's record and value classes.
 
-The six plain records are NamedTuples; KeyframePlan and PartitionShape,
-which validate their fields, are __slots__ classes on ``_frozen.FrozenRecord``.
-All eight compare and hash by their fields, refuse attribute assignment and
-deletion, print as ``Name(field=value, ...)``, and survive pickle, copy and
-deepcopy.
+The eight records of the table are __slots__ classes on
+``_frozen.FrozenRecord``: the six reports and, validating their fields,
+KeyframePlan and PartitionShape.  All eight compare and hash by their
+fields, refuse attribute assignment and deletion, print as
+``Name(field=value, ...)``, and survive pickle, copy and deepcopy.  No class
+of the package is a tuple, so no record equals a plain tuple.
 
-Six value classes take their immutability from ``_frozen.Frozen``: Ordinal,
-Cardinal, PartitionShape, KeyframePlan, Partition and ContinuumModel.  Each
-refuses assignment, a new attribute and deletion, and the process-wide
-values ONE, ALEPH0 and GCH answer as before after every refused attempt.
-All but Ordinal, which is equal by identity, are ``_frozen.FrozenRecord``s
-and define no equality or hashing of their own.  ContinuumModel's
+Every frozen class of the package but Ordinal, which is equal by identity,
+is a ``_frozen.FrozenRecord`` and defines no equality or hashing of its own.
+Six value classes are written to in turn: Ordinal, Cardinal,
+PartitionShape, KeyframePlan, Partition and ContinuumModel.  Each refuses
+assignment, a new attribute and deletion, and the process-wide values ONE,
+ALEPH0 and GCH answer as before after every refused attempt.  ContinuumModel's
 ``continuum`` is a read-only mapping, and the model survives pickle at
 every protocol, copy and deepcopy.  A partition pickles and copies as
 ``Partition(n, masks)``: the copy holds no cached field, and loading a
 pickle validates it as the constructor does.
 """
 import copy
+import importlib
 import inspect
 import pickle
+import pkgutil
 
 import pytest
 
@@ -29,6 +32,7 @@ from pilat import (ALEPH0, GCH, AntichainReport, CardinalInterval, ChainBounds, 
                    PartitionShape, aleph, bottom, fin, parse_ordinal, power_of_two)
 from pilat._frozen import Frozen, FrozenRecord
 from pilat.cardinal import ONE, Cardinal, Ordinal
+from pilat.cli import _Arg
 from pilat.partitions import _trusted
 
 # (class, a function building every field afresh in declaration order,
@@ -160,13 +164,24 @@ def test_every_frozen_value_but_ordinal_is_a_record():
               for cls in vars(module).values()
               if inspect.isclass(cls) and issubclass(cls, Frozen)
               and cls.__module__ == module.__name__}
-    records = {Cardinal, PartitionShape, KeyframePlan, Partition, ContinuumModel}
+    records = {Cardinal, PartitionShape, KeyframePlan, Partition, ContinuumModel,
+               AntichainReport, ChainReport, OrthoReport, NonOrthoWitness, CardinalInterval,
+               ChainBounds, _Arg}
     assert frozen - {Frozen, FrozenRecord} == records | {Ordinal}
     assert not issubclass(Ordinal, FrozenRecord)
     for cls in records:
         assert issubclass(cls, FrozenRecord)
         for name in ("__eq__", "__hash__", "_key"):
             assert name not in vars(cls), (cls.__name__, name)
+
+
+def test_no_class_of_the_package_is_a_tuple():
+    modules = [importlib.import_module(f"pilat.{info.name}")
+               for info in pkgutil.iter_modules(pilat.__path__)]
+    classes = [cls for module in modules for cls in vars(module).values()
+               if inspect.isclass(cls) and cls.__module__ == module.__name__]
+    assert _Arg in classes and ChainReport in classes
+    assert [cls for cls in classes if issubclass(cls, tuple)] == []
 
 
 @pytest.mark.parametrize("p", [Partition(0, ()), bottom(3), Partition.parse("0 2|1|3 4", 5)],

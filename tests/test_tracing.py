@@ -7,7 +7,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pilat.cli  # noqa: F401  install() wraps names in every pilat module, cli too
+# install() wraps names in every pilat module, cli too; the lazy package
+# loads none of them until asked
+from pilat import antichains, cardinal, chains, cli, complements, enumeration, ortho  # noqa: F401
 from pilat.cardinal import ContinuumModel
 from pilat.partitions import Partition
 
