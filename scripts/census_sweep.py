@@ -14,13 +14,12 @@ import sys
 import time
 
 from pilat import complement_census, grieser_count
-from pilat.complements import CENSUS_CAP
 from pilat.partitions import _check_cap
 
 
 def run(max_n: int = 7) -> int:
     try:
-        _check_cap(max_n, CENSUS_CAP, "census")
+        _check_cap(max_n, "census")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,7 @@ from pilat import (
     parse_ordinal,
     search_orthocomplementation,
 )
-from pilat.ortho import SEARCH_CAP
-from pilat.partitions import _check_size, effective_cap
+from pilat.partitions import _check_size, cap
 
 
 def run(max_n: int = 12) -> int:
@@ -35,7 +34,7 @@ def run(max_n: int = 12) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    search_limit = effective_cap(SEARCH_CAP)
+    search_limit = cap("orthocomplement search")
     for n in range(1, max_n + 1):
         if n <= search_limit:
             mapping = search_orthocomplementation(n)

@@ -15,8 +15,6 @@ from .enumeration import atoms, coatoms
 from .partitions import (Partition, _block_text, _check_cap, _check_size, _checked_members,
                          _mask_elements, _trusted)
 
-ANTICHAIN_CAP = 10
-
 
 class AntichainReport(FrozenRecord):
     """The verdict on an antichain.  ``witness`` is a comparable member
@@ -80,7 +78,7 @@ def _incomparable(chosen: list[Partition], n: int) -> Iterator[Partition]:
     the saved bitsets of every depth: each of them belongs to a prefix of q,
     so both relations to q are still possible there.
     """
-    _check_cap(n, ANTICHAIN_CAP, "antichain maximality")
+    _check_cap(n, "antichain maximality")
     same = [[0] * (e + 1) for e in range(n)]
     first = [[0] * (e + 1) for e in range(n)]
     leq = [0] * (n + 1)  # leq[d], geq[d]: the bitsets of the prefix of length d

@@ -34,8 +34,6 @@ from .partitions import (Partition, _BlockMasks, _check_cap, _checked_members, _
                          _parse_many, _refines, _tiles, _trusted, _with_singletons, bottom,
                          covers, ground_cap, top)
 
-MAXCHAIN_CAP = 6
-
 
 class ChainReport(FrozenRecord):
     """The verdict on a chain.  ``witness`` is the failure evidence: an
@@ -176,7 +174,7 @@ def extend_to_maximal(chain: Sequence[Partition]) -> list[Partition]:
 
 def enumerate_maximal_chains(n: int) -> Iterator[tuple[Partition, ...]]:
     """Stream every maximal chain of Pi_n exactly once (small n only)."""
-    _check_cap(n, MAXCHAIN_CAP, "maximal-chain")
+    _check_cap(n, "maximal-chain")
     return _maximal_chains(n)  # not a generator itself: the cap is checked at call time
 
 

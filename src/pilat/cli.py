@@ -3,9 +3,8 @@
 Subcommands: enumerate, chains, antichains, complements, ortho, cardinal,
 hasse.  Exit codes: 0 success, 1 a requested verification came back false,
 2 usage errors (bad flags, malformed input, caps exceeded) or a failed
-write.  Output is
-deterministic byte for byte; the PILAT_MAX_N environment variable replaces
-the built-in size caps.
+write.  Output is deterministic byte for byte.  The size caps are the rows
+of ``partitions.CAPS``; the PILAT_MAX_N environment variable replaces them.
 
 The grammar is one table, ``_COMMANDS``: each command path with its help,
 its own handler and its arguments (``_Arg``: positionals with their
@@ -61,8 +60,7 @@ from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
 from ._frozen import FrozenRecord
-from .partitions import (Partition, _check_cap, _format_many, _LineError, _parse_many,
-                         effective_cap)
+from .partitions import Partition, _check_cap, _format_many, _LineError, _parse_many, cap
 
 if TYPE_CHECKING:
     import argparse
@@ -72,7 +70,6 @@ if TYPE_CHECKING:
 
     _T = TypeVar("_T")
 
-HASSE_CAP = 7
 CENSUS_VERSION = "# pilat census v1"
 HASSE_VERSION = "// pilat hasse v1"
 _CHUNK = 4096  # lines per write
@@ -140,7 +137,7 @@ def _cmd_antichains(args) -> tuple[int, Iterable[str]]:
                else ac.bipartition_antichain(args.n))
     if not args.verify:
         return 0, _format_many(members)
-    check_max = args.n <= effective_cap(ac.ANTICHAIN_CAP)
+    check_max = args.n <= cap("antichain maximality")
     report = ac.verify_antichain(members, args.n, check_maximal=check_max)
     out = [f"size: {len(members)}",
            f"antichain: {_yesno(report.is_antichain)}",
@@ -252,7 +249,7 @@ def _cmd_hasse(args) -> tuple[int, list[str]]:
     if args.n is not None:
         import pilat.enumeration as en
 
-        _check_cap(args.n, HASSE_CAP, "hasse")
+        _check_cap(args.n, "hasse")
         parts = list(en.iter_partitions(args.n))
     else:
         parts = _read_file(sources[0], _parse_many)

@@ -30,9 +30,6 @@ from typing import Iterator, Mapping
 from .enumeration import iter_partitions
 from .partitions import Partition, _check_cap, _join_masks, _trusted, _with_singletons
 
-COMPLEMENT_CAP = 11
-CENSUS_CAP = 9
-
 
 def is_complement(p: Partition, q: Partition) -> bool:
     """True iff p & q is bottom and p | q is top."""
@@ -64,7 +61,7 @@ def enumerate_complements(p: Partition) -> list[Partition]:
     each eligible open block in order and then a new block.
     """
     n = p.n
-    _check_cap(n, COMPLEMENT_CAP, "complement enumeration")
+    _check_cap(n, "complement enumeration")
     if n == 0:
         return [_trusted(0, ())]
     last = n - 1
@@ -290,7 +287,7 @@ def complement_census(n: int) -> Iterator[tuple[Partition, int, int]]:
     bottom).  n = 0 is rejected: the empty partition is its own complement
     but has no block to count, so the n - m + 1 count is meaningless.
     """
-    _check_cap(n, CENSUS_CAP, "census")
+    _check_cap(n, "census")
     if n == 0:
         raise ValueError("census needs n >= 1")
     return ((p, *_complement_counts(p.block_sizes, n - p.block_count + 1))

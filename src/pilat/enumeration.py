@@ -33,14 +33,11 @@ from typing import Iterator
 
 from .partitions import Partition, _BlockTexts, _check_cap, _check_size, _trusted, bottom
 
-ENUM_CAP = 12
-COUNT_CAP = 26
-
 
 def iter_partitions(n: int) -> Iterator[Partition]:
     """Stream all partitions of {0..n-1} in lexicographic RGS order, by the
     walk of the module docstring; n = 0 yields the empty partition."""
-    _check_cap(n, ENUM_CAP, "enumeration")
+    _check_cap(n, "enumeration")
     return _rgs_partitions(n)  # not a generator itself: the cap is checked at call time
 
 
@@ -48,7 +45,7 @@ def _partition_lines(n: int) -> Iterator[str]:
     """The text of each partition that ``iter_partitions(n)`` yields, in the
     same order, built by the walk's second consumer; n = 0 yields one empty
     line."""
-    _check_cap(n, ENUM_CAP, "enumeration")
+    _check_cap(n, "enumeration")
     return _rgs_lines(n)  # not a generator itself: the cap is checked at call time
 
 
@@ -116,7 +113,7 @@ def _rgs_lines(n: int) -> Iterator[str]:
 
 def _stirling_row(n: int) -> list[int]:
     """[S(n, 0), ..., S(n, n)], built row by row by S(i, k) = k S(i-1, k) + S(i-1, k-1)."""
-    _check_cap(n, COUNT_CAP, "counting")
+    _check_cap(n, "counting")
     row = [1]
     for _ in range(n):
         row = [0] + [k * row[k] + row[k - 1] for k in range(1, len(row))] + [1]

@@ -27,10 +27,6 @@ from .complements import enumerate_complements
 from .enumeration import _atom_coatom_counts, iter_partitions
 from .partitions import Partition, _check_cap, _check_size
 
-CHECK_CAP = 6
-SEARCH_CAP = 4
-SEARCH_CAP_EXHAUSTIVE = 5
-
 
 class OrthoReport(FrozenRecord):
     """The verdict on a map: ``violated_axiom`` is "i", "ii", "iii", "iv"
@@ -48,7 +44,7 @@ def check_ortho_map(mapping: Mapping[Partition, Partition], n: int) -> OrthoRepo
     The witness is the first offending element (axioms i, ii, iv) or pair
     (axiom iii) in enumeration order.
     """
-    _check_cap(n, CHECK_CAP, "orthocomplement check")
+    _check_cap(n, "orthocomplement check")
     parts = tuple(iter_partitions(n))
     for a in parts:
         if a not in mapping:
@@ -88,11 +84,11 @@ def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partit
     symmetry and order reversal, all of which any valid map must satisfy;
     completed assignments are verified against the axioms, so a None result
     means no map exists.  A found map has Pi_n as its keys, in RGS order (the
-    order of ``iter_partitions``).  n <= 4 runs as is; n = 5 only with
-    ``exhaustive=True``.  That gate is a size cap and nothing more.
+    order of ``iter_partitions``).  n runs up to the ``orthocomplement
+    search`` row of ``partitions.CAPS``, 4; ``exhaustive=True`` passes its
+    own default, 5.  That gate is a size cap and nothing more.
     """
-    _check_cap(n, SEARCH_CAP_EXHAUSTIVE if exhaustive else SEARCH_CAP,
-               "orthocomplement search")
+    _check_cap(n, "orthocomplement search", 5 if exhaustive else None)
     parts = tuple(iter_partitions(n))
     size = len(parts)
     index = {p: i for i, p in enumerate(parts)}

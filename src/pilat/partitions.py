@@ -36,14 +36,16 @@ any other input is.  ``_trusted`` and ``__init__`` write ``n`` and
 which is cheaper than ``object.__setattr__``.
 
 Sizes follow one rule.  Every function that takes a size n from a caller
-makes one call to ``_check_cap(n, default, what)``, which refuses an n that
-is not an int (a bool included) with a TypeError, and then any n outside
-0..cap.  The cap is the function's default (the ground cap of 128
-for the constructors, ``bottom``, ``top``, ``diag``, ``atoms``, ``coatoms``,
+makes one call to ``_check_cap(n, what)``, which refuses an n that is not
+an int (a bool included) with a TypeError, and then any n outside 0..cap.
+The cap is ``cap(what)``: PILAT_MAX_N when set, else the row of ``what`` in
+``CAPS``, the one table of defaults (the ground set's 128 for the
+constructors, ``bottom``, ``top``, ``diag``, ``atoms``, ``coatoms``,
 ``lift_subset_chain``, ``doubleton_antichain``, ``bipartition_antichain``
-and ``non_ortho_witness``, a smaller one for each exhaustive operation),
-and PILAT_MAX_N, when set, replaces every default at once.  No operation's default exceeds the
-default of an operation it calls, so an inner check never fails.
+and ``non_ortho_witness``, a smaller one for each exhaustive operation;
+the exhaustive orthocomplement search alone passes its own default).  No
+operation's default exceeds the default of an operation it calls, so an
+inner check never fails.
 """
 from __future__ import annotations
 
@@ -53,41 +55,54 @@ from typing import AbstractSet, Iterable, Sequence
 
 from ._frozen import FrozenRecord
 
-DEFAULT_GROUND_CAP = 128
+# The default size cap of each operation, keyed by the subject its refusal names.
+CAPS = {
+    "ground-set": 128,
+    "enumeration": 12,
+    "counting": 26,
+    "maximal-chain": 6,
+    "complement enumeration": 11,
+    "census": 9,
+    "antichain maximality": 10,
+    "orthocomplement check": 6,
+    "orthocomplement search": 4,
+    "hasse": 7,
+}
 _CAP_ENV = "PILAT_MAX_N"
 
 
-def effective_cap(default: int) -> int:
-    """Cap for a size-limited operation; PILAT_MAX_N replaces the default."""
+def cap(what: str, default: int | None = None) -> int:
+    """The cap of ``what``: PILAT_MAX_N when set, else ``default`` when
+    given, else ``CAPS[what]``."""
     raw = os.environ.get(_CAP_ENV)
     if raw is None:
-        return default
+        return CAPS[what] if default is None else default
     try:
-        cap = int(raw)
+        limit = int(raw)
     except ValueError as exc:
         raise ValueError(f"{_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ValueError(f"{_CAP_ENV} must be non-negative, got {cap}")
-    return cap
+    if limit < 0:
+        raise ValueError(f"{_CAP_ENV} must be non-negative, got {limit}")
+    return limit
 
 
 def ground_cap() -> int:
     """Largest allowed ground-set size (PILAT_MAX_N overrides the default)."""
-    return effective_cap(DEFAULT_GROUND_CAP)
+    return cap("ground-set")
 
 
-def _check_cap(n: int, default: int, what: str) -> None:
-    """Refuse an n that is no int or a bool, then n outside 0..cap, where
-    PILAT_MAX_N replaces the default cap."""
+def _check_cap(n: int, what: str, default: int | None = None) -> None:
+    """Refuse an n that is no int or a bool, then n outside 0..``cap(what,
+    default)``."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"{what} size must be an int: n={n!r}")
-    cap = effective_cap(default)
-    if not 0 <= n <= cap:
-        raise ValueError(f"{what} cap {cap}: n={n} outside 0..{cap}")
+    limit = cap(what, default)
+    if not 0 <= n <= limit:
+        raise ValueError(f"{what} cap {limit}: n={n} outside 0..{limit}")
 
 
 def _check_size(n: int) -> None:
-    _check_cap(n, DEFAULT_GROUND_CAP, "ground-set")
+    _check_cap(n, "ground-set")
 
 
 def _members_mask(members: Iterable[int], n: int) -> int:

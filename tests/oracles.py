@@ -7,7 +7,7 @@ ORACLE_CAP = 7
 
 def naive_complements(p: Partition) -> list[Partition]:
     """Oracle: filter the whole lattice.  Only sensible for small n."""
-    _check_cap(p.n, ORACLE_CAP, "complement oracle")
+    _check_cap(p.n, "complement oracle", ORACLE_CAP)
     return [q for q in iter_partitions(p.n) if is_complement(p, q)]
 
 
@@ -17,7 +17,7 @@ def relative_complement_in(b: Partition, a: Partition, c: Partition) -> Partitio
     complemented, so for a <= b <= c this always finds one."""
     if not (a <= b and b <= c):
         raise ValueError("need a <= b <= c")
-    _check_cap(b.n, ORACLE_CAP, "complement oracle")
+    _check_cap(b.n, "complement oracle", ORACLE_CAP)
     for z in iter_partitions(b.n):
         if a <= z and z <= c and (b & z) == a and (b | z) == c:
             return z

@@ -25,7 +25,8 @@ from pilat import (
     split_transversal_family,
     top,
 )
-from pilat.complements import COMPLEMENT_CAP, _complement_counts
+from pilat.complements import _complement_counts
+from pilat.partitions import CAPS
 from oracles import naive_complements, relative_complement_in
 from strats import partitions
 from test_census_closed_form import complement_total
@@ -367,7 +368,8 @@ def _one_partition_per_shape(n):
 
 
 @pytest.mark.parametrize("p", [*_one_partition_per_shape(8),
-                               P("0 1|2 3|4 5|6 7|8 9|10", COMPLEMENT_CAP)], ids=str)
+                               P("0 1|2 3|4 5|6 7|8 9|10", CAPS["complement enumeration"])],
+                         ids=str)
 def test_walk_lists_what_the_block_sizes_count(p):
     # past n = 7 the walk is checked against the transfer: as many
     # complements, as many with n - m + 1 blocks, and no complement twice

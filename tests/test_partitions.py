@@ -3,6 +3,7 @@ import argparse
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,7 +40,7 @@ from pilat import (
 from pilat.antichains import _bipartition_lines
 from pilat.cli import _cmd_hasse
 from pilat.enumeration import _partition_lines
-from pilat.partitions import _BlockMasks, _format_many, _LineError, _parse_many
+from pilat.partitions import CAPS, _BlockMasks, _format_many, _LineError, _parse_many
 from oracles import relative_complement_in
 from strats import partition_pairs, partition_triples, partitions
 
@@ -663,6 +664,74 @@ def test_every_partition_cap_follows_one_rule(monkeypatch, name):
     monkeypatch.setenv("PILAT_MAX_N", "3")
     with pytest.raises(ValueError, match=r"cap 3: n=4 outside 0\.\.3"):
         ON_PARTITION[name](p)
+
+
+# One entry point per row of CAPS, and the exhaustive search, whose default
+# is its own: each is refused one above its default with PILAT_MAX_N unset.
+DEFAULT_REFUSALS = [
+    ("ground-set", 128, "bottom"),
+    ("enumeration", 12, "iter_partitions"),
+    ("counting", 26, "bell"),
+    ("maximal-chain", 6, "enumerate_maximal_chains"),
+    ("complement enumeration", 11, "enumerate_complements"),
+    ("census", 9, "complement_census"),
+    ("antichain maximality", 10, "verify_antichain"),
+    ("orthocomplement check", 6, "check_ortho_map"),
+    ("orthocomplement search", 4, "search_orthocomplementation"),
+    ("orthocomplement search", 5, "search_orthocomplementation_exhaustive"),
+    ("hasse", 7, "hasse"),
+]
+
+
+@pytest.mark.parametrize("what, default, name", DEFAULT_REFUSALS,
+                         ids=[name for _, _, name in DEFAULT_REFUSALS])
+def test_each_default_is_refused_one_above(monkeypatch, what, default, name):
+    monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    refuse = SIZED.get(name) or (lambda n: ON_PARTITION[name](bottom(n)))
+    text = f"{what} cap {default}: n={default + 1} outside 0..{default}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        refuse(default + 1)
+
+
+def test_the_refusals_cover_every_row():
+    assert {what: default for what, default, name in DEFAULT_REFUSALS
+            if name != "search_orthocomplementation_exhaustive"} == CAPS
+
+
+def _exhaustive_default(monkeypatch):
+    """The exhaustive search's default, read off its refusal."""
+    monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    with pytest.raises(ValueError) as info:
+        search_orthocomplementation(10**6, exhaustive=True)
+    return int(re.fullmatch(r"orthocomplement search cap (\d+): n=1000000 outside 0\.\.\1",
+                            str(info.value))[1])
+
+
+def test_no_default_exceeds_that_of_an_operation_it_calls(monkeypatch):
+    # the rule of the partitions docstring, so an inner check never fails
+    searches = (CAPS["orthocomplement search"], _exhaustive_default(monkeypatch))
+    for what in ("census", "orthocomplement check", "hasse"):
+        assert CAPS[what] <= CAPS["enumeration"], what
+    for default in searches:
+        assert default <= CAPS["enumeration"]
+        assert default <= CAPS["complement enumeration"]
+    for default in (*CAPS.values(), *searches):
+        assert default <= CAPS["ground-set"]
+
+
+def _readme_cap_tables():
+    """The rows (refusal text, default) of each table of README's "Size caps"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Size caps\n", 1)[1].split("\n## ", 1)[0]
+    tables = [re.findall(r"^\| `([^`|]+)` \|.*\| (\d+) \|$", chunk, re.M)
+              for chunk in section.split("\n\n")]
+    return [[(what, int(default)) for what, default in rows] for rows in tables if rows]
+
+
+def test_readme_size_caps_mirror_the_table(monkeypatch):
+    rows, exhaustive = _readme_cap_tables()
+    assert len(rows) == len(CAPS) and dict(rows) == CAPS
+    assert exhaustive == [("orthocomplement search", _exhaustive_default(monkeypatch))]
 
 
 # ------------------------------------------------- trusted internal producers
