@@ -14,6 +14,7 @@ import sys
 import time
 
 from pilat import complement_census, grieser_count
+from pilat.cli import entry
 from pilat.partitions import _check_cap
 
 
@@ -50,4 +51,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry(main)

@@ -20,6 +20,7 @@ from pilat import (
     top,
     verify_chain,
 )
+from pilat.cli import entry
 
 
 def show_chain(label: str, chain) -> None:
@@ -66,4 +67,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry(main)

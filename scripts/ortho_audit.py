@@ -25,6 +25,7 @@ from pilat import (
     parse_ordinal,
     search_orthocomplementation,
 )
+from pilat.cli import entry
 from pilat.partitions import _check_size, cap
 
 
@@ -73,4 +74,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry(main)

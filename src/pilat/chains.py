@@ -22,17 +22,17 @@ repeated block, any error) sends the whole file to the full parse and
 ``verify_chain``, which reports exactly as a file of partitions is
 reported everywhere else.  That fallback is internal: ``_verify_lines``
 returns the report, or raises the full parse's ``_LineError``, and never
-asks its caller to parse.
+asks its caller to parse.  ``enumerate_maximal_chains`` walks
+``Partition._upper_covers``, the one generator of upper covers.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._frozen import FrozenRecord
 from .partitions import (Partition, _BlockMasks, _check_cap, _checked_members, _members_mask,
                          _parse_many, _refines, _tiles, _trusted, _with_singletons, bottom,
-                         covers, ground_cap, top)
+                         ground_cap, top)
 
 
 class ChainReport(FrozenRecord):
@@ -151,24 +151,19 @@ def extend_to_maximal(chain: Sequence[Partition]) -> list[Partition]:
 
     Endpoints are extended to bottom/top, then every gap is saturated by
     repeatedly merging the two blocks with the smallest minima that lie in
-    one block of the gap's upper end.  The result has exactly n elements.
+    one block of the gap's upper end.  Each merge stays below that end and
+    loses one block, so the block count alone says when the gap is
+    saturated.  The result has exactly n elements.
     """
     report = verify_chain(chain)
     if not report.is_chain:
         raise ValueError(f"input is not a chain (witness {report.witness})")
-    n = chain[0].n
-    anchors = list(chain)
-    if anchors[0] != bottom(n):
-        anchors.insert(0, bottom(n))
-    if anchors[-1] != top(n):
-        anchors.append(top(n))
-    out = [anchors[0]]
-    for hi in anchors[1:]:
-        cur = out[-1]
-        while not covers(cur, hi):
-            cur = _step_between(cur, hi)
-            out.append(cur)
-        out.append(hi)
+    out = [bottom(chain[0].n)]
+    for hi in [*chain, top(chain[0].n)]:  # an endpoint the chain has is not repeated
+        for _ in range(out[-1].block_count - hi.block_count - 1):
+            out.append(_step_between(out[-1], hi))
+        if hi != out[-1]:
+            out.append(hi)
     return out
 
 
@@ -179,20 +174,20 @@ def enumerate_maximal_chains(n: int) -> Iterator[tuple[Partition, ...]]:
 
 
 def _maximal_chains(n: int) -> Iterator[tuple[Partition, ...]]:
-    """Depth-first walk up from bottom: each step merges a pair of blocks,
-    pairs in lexicographic index order, and a chain ends at one block."""
+    """Depth-first walk up from bottom: each step takes the next upper cover
+    of ``Partition._upper_covers``, and a chain ends at one block."""
     path = [bottom(n)]
-    pairs = [itertools.combinations(range(n), 2)]  # pairs[d]: block pairs of path[d] left
+    ups = [path[0]._upper_covers()]  # ups[d]: the upper covers of path[d] left
     while path:
-        pair = next(pairs[-1], None)
-        if pair is not None:
-            path.append(path[-1].merge_blocks(*pair))
-            pairs.append(itertools.combinations(range(path[-1].block_count), 2))
+        masks = next(ups[-1], None)
+        if masks is not None:
+            path.append(_trusted(n, masks))
+            ups.append(path[-1]._upper_covers())
             continue
         if path[-1].block_count <= 1:
             yield tuple(path)
         path.pop()
-        pairs.pop()
+        ups.pop()
 
 
 def lift_subset_chain(sets: Sequence[Iterable[int]], n: int) -> list[Partition]:

@@ -33,7 +33,8 @@ also exits 2, and what was written before it stays.  A closed pipe on
 stdout is the one exception: when its reader leaves early (``| head -1``)
 the writing stops quietly, nothing goes to stderr and the exit code is the
 handler's; ``entry`` points stdout at the null device, so that the flush at
-interpreter exit reports nothing either.
+interpreter exit reports nothing either.  The experiment scripts run their
+``main`` through ``entry(main)``, and one that a closed pipe cuts off exits 0.
 
 Each request loads only what it runs.  ``partitions`` is the one kernel
 this module imports at load, since every finite command and ``_read_file``
@@ -60,7 +61,8 @@ from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
 from ._frozen import FrozenRecord
-from .partitions import Partition, _check_cap, _format_many, _LineError, _parse_many, cap
+from .partitions import (Partition, _check_cap, _format_many, _LineError, _parse_many, bottom, cap,
+                         top)
 
 if TYPE_CHECKING:
     import argparse
@@ -105,7 +107,8 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
 
     if args.counts:
         bell_n = en.bell(args.n)  # checks the counting cap before 2^(n-1) is built
-        atom_count, coatom_count = en._atom_coatom_counts(args.n)
+        atom_count = en._cover_counts(bottom(args.n))[1]
+        coatom_count = en._cover_counts(top(args.n))[0]
         return 0, [f"n={args.n} bell={bell_n} atoms={atom_count} coatoms={coatom_count}"]
     return 0, en._partition_lines(args.n)
 
@@ -216,23 +219,15 @@ def _hasse_dot(parts: list[Partition]) -> list[str]:
         by_count.setdefault(p.block_count, []).append(i)
         by_masks.setdefault(p.masks, []).append(i)
     for i, p in enumerate(parts):
-        masks = p.masks
-        k = len(masks)
+        k = p.block_count
         bucket = by_count.get(k - 1)
         if not bucket:
             continue
-        # The upper covers of p are p with two blocks merged, so they lie in
-        # the bucket of k - 1 blocks.  When the C(k, 2) merges are at most
-        # the bucket's size, look each merge up by its masks; otherwise (a
-        # chain file: 8 128 merges at k = 128 against one candidate) test
-        # refinement against each member of the bucket.
+        # An upper cover of p has k - 1 blocks.  Look each of the C(k, 2) up
+        # by its masks, unless the bucket holds fewer (a chain file: 8 128
+        # covers at k = 128 against one candidate).
         if k * (k - 1) // 2 <= len(bucket):
-            targets = []
-            for b in range(1, k):
-                for a in range(b):
-                    m = list(masks)
-                    m[a] |= m.pop(b)  # as merge_blocks: the result stays canonical
-                    targets += by_masks.get(tuple(m), ())
+            targets = [t for up in p._upper_covers() for t in by_masks.get(up, ())]
             targets.sort()  # ascending index, the scan's order
         else:
             targets = [t for t in bucket if p <= parts[t]]
@@ -381,8 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argparse parser of the grammar in ``_COMMANDS``."""
     import argparse
 
-    top = argparse.ArgumentParser(prog="pilat", description="partition lattice toolkit")
-    commands = top.add_subparsers(dest="cmd", required=True)
+    root = argparse.ArgumentParser(prog="pilat", description="partition lattice toolkit")
+    commands = root.add_subparsers(dest="cmd", required=True)
     groups = {}
     for path, (help_text, handler, spec) in _COMMANDS.items():
         if len(path) == 1:
@@ -402,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
             else:
                 parser.add_argument(arg.name, choices=arg.choices, help=arg.help)
         parser.set_defaults(func=handler)
-    return top
+    return root
 
 
 def _write_lines(fh: TextIO, lines: Iterable[str]) -> None:
@@ -439,9 +434,10 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def entry() -> None:
-    code = main()
+def entry(run: Callable[[], int] = main) -> None:
+    code = 0  # the exit code of a run that a closed pipe cut off
     try:
+        code = run()
         sys.stdout.flush()
     except BrokenPipeError:  # what is left goes nowhere, so the flush at exit prints nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

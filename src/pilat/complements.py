@@ -28,7 +28,8 @@ from math import comb, perm, prod
 from typing import Iterator, Mapping
 
 from .enumeration import iter_partitions
-from .partitions import Partition, _check_cap, _join_masks, _trusted, _with_singletons
+from .partitions import (Partition, _check_cap, _join_masks, _mask_elements, _trusted,
+                         _with_singletons)
 
 
 def is_complement(p: Partition, q: Partition) -> bool:
@@ -212,13 +213,13 @@ def split_transversal_complement(p: Partition, *,
             if not (p.masks[b] >> e) & 1:
                 raise ValueError(f"element {e} not in block {b}")
             reps[b] = e
-    ones = list(dict.fromkeys(part_one))
+    ones = dict.fromkeys(part_one)  # the indices in their given order, each once
     if len(ones) != len(part_one):
         raise ValueError("duplicate block index in part_one")
     for b in ones:
         if b not in reps:
             raise ValueError(f"bad block index {b} in part_one")
-    twos = [b for b in others if b not in set(ones)]
+    twos = [b for b in others if b not in ones]
     q_one = (1 << iota) | sum(1 << reps[b] for b in ones)
     q_two = (1 << upsilon) | sum(1 << reps[b] for b in twos)
     return _with_singletons(p.n, [q_one, q_two])
@@ -271,7 +272,7 @@ def injection_complement_family(p: Partition, big_block: int) -> Iterator[Partit
     if not 0 <= big_block < p.block_count:
         raise ValueError("block index out of range")
     inside = p.blocks[big_block]
-    outside = [e for e in range(p.n) if e not in inside]
+    outside = _mask_elements(((1 << p.n) - 1) & ~p.masks[big_block])
     return (injection_complement(p, big_block, dict(zip(outside, images)))
             for images in itertools.permutations(inside, len(outside)))  # none if too few inside
 

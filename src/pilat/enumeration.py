@@ -25,6 +25,8 @@ one is a leaf.  The walk has two consumers:
 ``complements.enumerate_complements`` is a pruned copy of this walk;
 ``antichains._incomparable`` is a copy that visits every node, and skips
 its table reads where both of its bitsets are 0.  Each keeps its own state.
+``atoms`` walks ``Partition._upper_covers``, the one generator of upper
+covers, and ``_cover_counts`` is the one closed form of the cover counts.
 """
 from __future__ import annotations
 
@@ -133,16 +135,19 @@ def bell(n: int) -> int:
     return sum(_stirling_row(n))
 
 
-def _atom_coatom_counts(n: int) -> tuple[int, int]:
-    """C(n, 2) and 2^(n-1) - 1 (0 for n < 2), the lengths of atoms(n) and
-    coatoms(n), without building either list.  n must be >= 0."""
-    return comb(n, 2), (1 << (n - 1)) - 1 if n >= 2 else 0
+def _cover_counts(p: Partition) -> tuple[int, int]:
+    """How many elements p covers, and how many cover it.
+
+    Splitting a block of size s in two gives 2^(s-1) - 1 lower covers;
+    merging two of k blocks gives C(k, 2) upper covers.
+    """
+    return (sum((1 << (m.bit_count() - 1)) - 1 for m in p.masks),
+            comb(p.block_count, 2))
 
 
 def atoms(n: int) -> list[Partition]:
     """Upper covers of bottom: one doubleton block, singletons elsewhere."""
-    bot = bottom(n)
-    return [bot.merge_blocks(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [_trusted(n, masks) for masks in bottom(n)._upper_covers()]
 
 
 def coatoms(n: int) -> list[Partition]:

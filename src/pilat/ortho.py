@@ -14,18 +14,17 @@ For n = 3 an exhaustive search settles it.  From n = 4 on a counting
 argument suffices: bottom has C(n, 2) covers while top has 2^(n-1) - 1
 cocovers, the map would have to exchange those two sets bijectively, and
 C(n, 2) < 2^(n-1) - 1 (6 < 7 at n = 4).  This is the test at which the
-search refuses its first pair, top with bottom.  The counting
-witness is offered from n = 5 by choice.
+search refuses its first pair, top with bottom.  The counting witness is
+offered from n = 5 by choice.  Both count with ``enumeration._cover_counts``.
 """
 from __future__ import annotations
 
-from math import comb
 from typing import Mapping
 
 from ._frozen import FrozenRecord
 from .complements import enumerate_complements
-from .enumeration import _atom_coatom_counts, iter_partitions
-from .partitions import Partition, _check_cap, _check_size
+from .enumeration import _cover_counts, iter_partitions
+from .partitions import Partition, _check_cap, _check_size, bottom, top
 
 
 class OrthoReport(FrozenRecord):
@@ -65,16 +64,6 @@ def check_ortho_map(mapping: Mapping[Partition, Partition], n: int) -> OrthoRepo
         if mapping[mapping[a]] != a:
             return OrthoReport(False, "iv", a)
     return OrthoReport(True)
-
-
-def _cover_counts(p: Partition) -> tuple[int, int]:
-    """How many elements p covers, and how many cover it.
-
-    Splitting a block of size s in two gives 2^(s-1) - 1 lower covers;
-    merging two of k blocks gives C(k, 2) upper covers.
-    """
-    return (sum((1 << (m.bit_count() - 1)) - 1 for m in p.masks),
-            comb(p.block_count, 2))
 
 
 def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partition, Partition] | None:
@@ -145,7 +134,8 @@ def non_ortho_witness(n: int) -> NonOrthoWitness:
     _check_size(n)
     if n < 5:
         raise ValueError("the counting witness needs n >= 5")
-    atom_count, coatom_count = _atom_coatom_counts(n)
+    atom_count = _cover_counts(bottom(n))[1]
+    coatom_count = _cover_counts(top(n))[0]
     assert atom_count < coatom_count
     return NonOrthoWitness(
         n=n,

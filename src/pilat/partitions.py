@@ -18,7 +18,9 @@ each takes a whole list in one call and handles each distinct block once per
 call, and ``Partition.format`` and ``Partition.parse`` are those calls on
 one partition or one literal.  The two streamed listings build no partition:
 ``enumeration._rgs_lines`` and ``antichains._bipartition_lines`` join block
-texts from ``_block_text`` directly, in the same format.
+texts from ``_block_text`` directly, in the same format.  An upper cover
+merges two blocks: ``Partition._upper_covers`` is the one generator of
+them, and ``enumeration._cover_counts`` the one closed form of their counts.
 
 Input is validated once, where it enters the package.  ``Partition(n,
 masks)`` (int masks only, bools refused), ``Partition.parse``,
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from ._frozen import FrozenRecord
 
@@ -311,6 +313,15 @@ class Partition(FrozenRecord):
         i, j = min(i, j), max(i, j)
         masks[i] |= masks.pop(j)  # the union keeps the lesser least element
         return _trusted(self.n, masks)
+
+    def _upper_covers(self) -> Iterator[tuple[int, ...]]:
+        """The masks of each ``merge_blocks(a, b)``, a < b, in lexicographic order."""
+        masks = self.masks
+        for a in range(len(masks)):
+            for b in range(a + 1, len(masks)):
+                m = list(masks)
+                m[a] |= m.pop(b)
+                yield tuple(m)
 
     def to_json(self) -> dict:
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}

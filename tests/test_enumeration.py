@@ -209,9 +209,10 @@ def test_atoms_coatoms_match_cover_scan():
 
 
 def test_closed_form_counts_match_the_lists():
-    from pilat.enumeration import _atom_coatom_counts
+    from pilat.enumeration import _cover_counts
     for n in range(11):
-        assert _atom_coatom_counts(n) == (len(atoms(n)), len(coatoms(n)))
+        counts = _cover_counts(bottom(n))[1], _cover_counts(top(n))[0]
+        assert counts == (len(atoms(n)), len(coatoms(n)))
 
 
 def test_upper_cover_count_is_block_pairs():

@@ -361,6 +361,19 @@ def test_covers_matches_no_strictly_between():
                 assert covers(p, q) == brute
 
 
+def test_upper_covers_are_the_merges_in_pair_order():
+    # the one generator of upper covers: merge_blocks(a, b) over every pair
+    # a < b in lexicographic order, and the same set as the covers filter
+    for n in range(7):
+        parts = tuple(iter_partitions(n))
+        for p in parts:
+            k = p.block_count
+            merges = [p.merge_blocks(a, b).masks for a in range(k) for b in range(a + 1, k)]
+            got = list(p._upper_covers())
+            assert got == merges
+            assert {Partition(n, m) for m in got} == {q for q in parts if covers(p, q)}
+
+
 # ----------------------------------------------------------------- properties
 
 @settings(max_examples=200)

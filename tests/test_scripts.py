@@ -1,5 +1,8 @@
 """The experiment scripts under scripts/ run to completion at small sizes."""
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,22 @@ def test_ortho_audit_refuses_before_the_first_row(capsys, monkeypatch, env, kwar
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name,args", [
+    ("census_sweep", ["--max-n", "7"]),  # each row waits for its census
+    ("chain_gallery", ["--max-k", "7"]),  # more lines than a pipe holds
+    ("ortho_audit", ["--max-n", "12"]),  # the first row comes before the searches of n >= 2
+])
+def test_script_stops_quietly_when_its_reader_leaves(name, args):
+    # the child writes each line as it prints it (-u); its reader takes the
+    # first line and closes the pipe, so the lines after it meet a closed pipe
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    proc = subprocess.Popen([sys.executable, "-u", str(SCRIPTS / f"{name}.py"), *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert first and err == b""
