@@ -145,6 +145,8 @@ def verify_antichain(members: Iterable[Partition], n: int, *,
                      check_maximal: bool = True) -> AntichainReport:
     """Check pairwise incomparability and (optionally) maximality in Pi_n."""
     mem = _checked_members(members, n)
+    if not check_maximal:  # else the maximality walk checks n against its own cap
+        _check_size(n)
     if len(set(mem)) != len(mem):
         raise ValueError("duplicate members")
     pair = _comparable_pair(mem)
@@ -202,7 +204,7 @@ def extend_to_maximal_antichain(members: Iterable[Partition], n: int) -> list[Pa
     result contains the input; feeding a maximal antichain returns it
     unchanged (up to order).
     """
-    chosen = list(dict.fromkeys(members))
-    if not verify_antichain(chosen, n, check_maximal=False).is_antichain:
+    chosen = list(dict.fromkeys(_checked_members(members, n)))
+    if _comparable_pair(chosen) is not None:
         raise ValueError("input is not an antichain")
     return chosen + list(_incomparable(chosen, n))

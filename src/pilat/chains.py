@@ -30,9 +30,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._frozen import FrozenRecord
-from .partitions import (Partition, _BlockMasks, _check_cap, _checked_members, _members_mask,
-                         _parse_many, _refines, _tiles, _trusted, _with_singletons, bottom,
-                         ground_cap, top)
+from .partitions import (Partition, _BlockMasks, _check_cap, _check_size, _checked_members,
+                         _members_mask, _parse_many, _refines, _tiles, _trusted,
+                         _with_singletons, bottom, ground_cap, top)
 
 
 class ChainReport(FrozenRecord):
@@ -193,6 +193,7 @@ def _maximal_chains(n: int) -> Iterator[tuple[Partition, ...]]:
 def lift_subset_chain(sets: Sequence[Iterable[int]], n: int) -> list[Partition]:
     """Lift a strictly increasing chain of subsets (each of size >= 2)
     into the partition lattice via diag."""
+    _check_size(n)
     masks = []
     for s in sets:
         mask = _members_mask(s, n)

@@ -69,13 +69,16 @@ def check_ortho_map(mapping: Mapping[Partition, Partition], n: int) -> OrthoRepo
 def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partition, Partition] | None:
     """Backtracking search for an orthocomplementation on Pi_n.
 
-    Candidates are restricted to complement pairs and pruned by cover-count
-    symmetry and order reversal, all of which any valid map must satisfy;
-    completed assignments are verified against the axioms, so a None result
-    means no map exists.  A found map has Pi_n as its keys, in RGS order (the
-    order of ``iter_partitions``).  n runs up to the ``orthocomplement
-    search`` row of ``partitions.CAPS``, 4; ``exhaustive=True`` passes its
-    own default, 5.  That gate is a size cap and nothing more.
+    Candidates are complement pairs a -> b whose cover counts are a's
+    reversed, as in any valid map.  That one rule decides the search: from
+    n = 4 on it refuses the first pair, top and its one complement bottom
+    (see the module docstring); below, every complement pair passes it, and
+    each completed assignment is verified against the axioms, so a None
+    result means no map exists.  A found map has Pi_n as its keys, in RGS
+    order (the order of ``iter_partitions``).  n runs up to the
+    ``orthocomplement search`` row of ``partitions.CAPS``, 4;
+    ``exhaustive=True`` passes its own default, 5.  That gate is a size cap
+    and nothing more.
     """
     _check_cap(n, "orthocomplement search", 5 if exhaustive else None)
     parts = tuple(iter_partitions(n))
@@ -84,14 +87,6 @@ def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partit
     # assign high-rank elements first: their candidate lists are shortest
     order = sorted(range(size), key=lambda i: (parts[i].block_count, i))
     image = [-1] * size
-
-    def fits(i: int, j: int) -> bool:
-        a, b = parts[i], parts[j]
-        if _cover_counts(b) != _cover_counts(a)[::-1]:
-            return False
-        # a -> b must reverse the order against every assigned pair x -> fx
-        return all((parts[x] <= a) == (b <= parts[fx]) and (a <= parts[x]) == (parts[fx] <= b)
-                   for x, fx in enumerate(image) if fx >= 0)
 
     def assign(pos: int) -> dict[Partition, Partition] | None:
         while pos < size and image[order[pos]] >= 0:
@@ -103,7 +98,7 @@ def search_orthocomplementation(n: int, exhaustive: bool = False) -> dict[Partit
         i = order[pos]
         for q in enumerate_complements(parts[i]):
             j = index[q]
-            if image[j] >= 0 or not fits(i, j):
+            if image[j] >= 0 or _cover_counts(parts[j]) != _cover_counts(parts[i])[::-1]:
                 continue
             image[i] = j
             image[j] = i

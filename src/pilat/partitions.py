@@ -43,11 +43,11 @@ an int (a bool included) with a TypeError, and then any n outside 0..cap.
 The cap is ``cap(what)``: PILAT_MAX_N when set, else the row of ``what`` in
 ``CAPS``, the one table of defaults (the ground set's 128 for the
 constructors, ``bottom``, ``top``, ``diag``, ``atoms``, ``coatoms``,
-``lift_subset_chain``, ``doubleton_antichain``, ``bipartition_antichain``
-and ``non_ortho_witness``, a smaller one for each exhaustive operation;
-the exhaustive orthocomplement search alone passes its own default).  No
-operation's default exceeds the default of an operation it calls, so an
-inner check never fails.
+``lift_subset_chain``, ``doubleton_antichain``, ``bipartition_antichain``,
+``non_ortho_witness`` and ``verify_antichain`` without maximality, a
+smaller one for each exhaustive operation; the exhaustive orthocomplement
+search alone passes its own default).  No operation's default exceeds the
+default of an operation it calls, so an inner check never fails.
 """
 from __future__ import annotations
 
@@ -107,16 +107,20 @@ def _check_size(n: int) -> None:
     _check_cap(n, "ground-set")
 
 
+def _element_bit(e: object, n: int) -> int:
+    """1 << e, after refusing an e that is no int (a bool included), then one outside 0..n-1."""
+    if not isinstance(e, int) or isinstance(e, bool):
+        raise ValueError(f"element {e!r} is not an integer")
+    if not 0 <= e < n:
+        raise ValueError(f"element {e} outside ground set 0..{n - 1}")
+    return 1 << e
+
+
 def _members_mask(members: Iterable[int], n: int) -> int:
-    """Mask of ``members``, after checking n and then each element's type and range."""
-    _check_size(n)
+    """Mask of ``members``, each checked by ``_element_bit``; n is already checked."""
     mask = 0
     for e in members:
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise ValueError(f"element {e!r} is not an integer")
-        if not 0 <= e < n:
-            raise ValueError(f"element {e} outside ground set 0..{n - 1}")
-        mask |= 1 << e
+        mask |= _element_bit(e, n)
     return mask
 
 
@@ -200,11 +204,7 @@ class Partition(FrozenRecord):
         for block in blocks:
             mask = 0
             for e in block:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise ValueError(f"element {e!r} is not an integer")
-                if not 0 <= e < n:
-                    raise ValueError(f"element {e} outside ground set 0..{n - 1}")
-                bit = 1 << e
+                bit = _element_bit(e, n)
                 if seen & bit:
                     raise ValueError(f"duplicate element {e}")
                 seen |= bit
@@ -540,6 +540,7 @@ def diag(members: Iterable[int], n: int) -> Partition:
     into the partition lattice and preserves order, so subset chains lift to
     partition chains.
     """
+    _check_size(n)
     mask = _members_mask(members, n)
     if mask == 0:
         raise ValueError("diag needs a non-empty member set")

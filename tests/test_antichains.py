@@ -107,6 +107,16 @@ def test_verify_maximality_cap():
     assert report.is_antichain
 
 
+@pytest.mark.parametrize("n", [500, -1, "x"], ids=repr)
+def test_verify_without_maximality_checks_n(monkeypatch, n):
+    # with no member to compare it with, n meets the ground cap
+    monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    with pytest.raises((TypeError, ValueError)) as want:
+        bottom(n)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        verify_antichain([], n, check_maximal=False)
+
+
 def test_verify_rejects_bad_input():
     with pytest.raises(ValueError, match="duplicate"):
         verify_antichain([top(3), top(3)], 3)
@@ -205,6 +215,19 @@ def test_extend_results_are_maximal():
 def test_extend_rejects_non_antichain():
     with pytest.raises(ValueError, match="antichain"):
         extend_to_maximal_antichain([bottom(3), top(3)], 3)
+
+
+def test_extend_refuses_members_then_non_antichain_then_cap():
+    # each member is checked before any is hashed, so a list is a member
+    # error, not an unhashable type
+    with pytest.raises(TypeError, match="^expected a Partition, got list$"):
+        extend_to_maximal_antichain([[0]], 1)
+    with pytest.raises(ValueError, match="^ground-set mismatch: 3 vs 4$"):
+        extend_to_maximal_antichain([bottom(3), top(3)], 4)
+    with pytest.raises(ValueError, match="^input is not an antichain$"):
+        extend_to_maximal_antichain([bottom(11), top(11)], 11)
+    with pytest.raises(ValueError, match="^antichain maximality cap 10: n=11 outside 0..10$"):
+        extend_to_maximal_antichain([top(11), top(11)], 11)
 
 
 # ------------------------------------------------------- oracle for the sweep

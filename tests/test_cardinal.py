@@ -143,6 +143,20 @@ def test_ordinal_addition_absorbs():
     assert parse_ordinal("w^2") + parse_ordinal("w^2") == parse_ordinal("w^2*2")
 
 
+def test_ordinal_successor_and_foreign_addition():
+    assert ZERO.successor() is ONE
+    assert W.successor() is parse_ordinal("w+1")
+    for other in (1, "w", fin(1)):
+        with pytest.raises(TypeError):  # __add__ returns NotImplemented
+            W + other
+
+
+@pytest.mark.parametrize("terms", [((ZERO, 1), (ZERO, 1)), ((ZERO, 1), (ONE, 1))], ids=repr)
+def test_ordinal_exponents_must_decrease(terms):
+    with pytest.raises(ValueError, match="^exponents must be strictly decreasing$"):
+        Ordinal(terms)
+
+
 def test_ordinal_int_round_trip():
     for k in range(10):
         o = Ordinal.from_int(k)

@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -269,6 +270,18 @@ def test_lift_rejects_bad_input():
         lift_subset_chain([{0, 1, 2}, {0, 1}], 4)
 
 
+@pytest.mark.parametrize("n", [-5, "x", True, 500], ids=repr)
+def test_lift_checks_n_at_entry(monkeypatch, n):
+    # n is checked before the first subset, so an empty chain is refused
+    # too, with the ground cap's own error
+    monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    with pytest.raises((TypeError, ValueError)) as want:
+        bottom(n)
+    for sets in ([], [{0, 1}]):
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            lift_subset_chain(sets, n)
+
+
 # ----------------------------------------------------------------- keyframes
 
 def test_keyframe_chain_small():
@@ -314,6 +327,13 @@ def test_inbetween_interpolates():
         plan.inbetween(1, 2)
     with pytest.raises(ValueError):
         plan.inbetween(3, 0)
+
+
+def test_keyframe_level_range():
+    plan = KeyframePlan(2)
+    for level in (-1, 3):
+        with pytest.raises(ValueError, match=f"^level {level} outside 0..2$"):
+            plan.keyframe(level)
 
 
 def test_keyframe_k_follows_from_the_ground_cap(monkeypatch):

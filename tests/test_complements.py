@@ -202,6 +202,12 @@ def test_split_transversal_rejects_bad_input():
         split_transversal_complement(p, pivot=5)
     with pytest.raises(ValueError):
         split_transversal_complement(p, part_one=[7])
+    with pytest.raises(ValueError, match="^pivot block needs at least two elements$"):
+        split_transversal_complement(P("0 1|2", 3), pivot=1)
+    with pytest.raises(ValueError, match="^marked elements must lie in the pivot block$"):
+        split_transversal_complement(p, pivot=0, iota=0, upsilon=2)
+    with pytest.raises(ValueError, match="^duplicate block index in part_one$"):
+        split_transversal_complement(p, part_one=[1, 1])
 
 
 def test_split_transversal_gamma_picks_representatives():
@@ -274,6 +280,9 @@ def test_injection_rejects_bad_maps():
         injection_complement(p, 0, {4: 1, 3: 2})
     with pytest.raises(ValueError, match="outside the block"):
         injection_complement(p, 0, {4: 4})  # image outside the block
+    for block in (-1, 2):
+        with pytest.raises(ValueError, match="^block index out of range$"):
+            injection_complement(p, block, {})
 
 
 # -------------------------------------------------------------------- census

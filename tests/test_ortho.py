@@ -219,6 +219,32 @@ def test_exhaustive_search_reads_only_the_first_pair(monkeypatch):
     assert calls == {"le": 0, "complements": 1}
 
 
+@pytest.mark.parametrize("n, exhaustive, pairs, nodes", [
+    (0, False, 1, 1), (1, False, 1, 1), (2, False, 1, 1), (3, False, 3, 4), (4, False, 1, 1),
+    (5, True, 1, 1),
+])
+def test_search_work_counts(monkeypatch, n, exhaustive, pairs, nodes):
+    # the cover counts are the one prune: a lost or an added prune changes
+    # the pairs it is offered (two count reads each) or the nodes that list
+    # complements, and no <= is made
+    from pilat import ortho
+
+    calls = {"le": 0, "counts": 0, "nodes": 0}
+    le, counts, complements = Partition.__le__, ortho._cover_counts, ortho.enumerate_complements
+
+    def counted(key, f):
+        def wrapper(*args):
+            calls[key] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(Partition, "__le__", counted("le", le))
+    monkeypatch.setattr(ortho, "_cover_counts", counted("counts", counts))
+    monkeypatch.setattr(ortho, "enumerate_complements", counted("nodes", complements))
+    search_orthocomplementation(n, exhaustive=exhaustive)
+    assert calls == {"le": 0, "counts": 2 * pairs, "nodes": nodes}
+
+
 def test_found_map_lists_pi_n_in_rgs_order():
     for n in range(3):
         assert list(search_orthocomplementation(n)) == list(iter_partitions(n))

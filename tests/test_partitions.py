@@ -250,6 +250,7 @@ def test_strict_order():
     assert fine < top(3)
     assert not fine < fine
     assert top(3) > fine
+    assert top(3) >= fine and fine >= fine and not fine >= top(3)
 
 
 def test_mixed_ground_sets_rejected():
