@@ -36,12 +36,15 @@ handler's; ``entry`` points stdout at the null device, so that the flush at
 interpreter exit reports nothing either.  The experiment scripts run their
 ``main`` through ``entry(main)``, and one that a closed pipe cuts off exits 0.
 
-Each request loads only what it runs.  ``partitions`` is the one kernel
-this module imports at load, since every finite command and ``_read_file``
-use it.  Each handler imports the one command module it runs
-(``enumeration``, ``chains``, ``antichains``, ``complements``, ``ortho`` or
-``cardinal``) as ``import pilat.x as y``, the cheapest import form to
-repeat on every request, so ``import pilat.cli`` loads no command module.
+Each request loads only what it runs, so ``import pilat.cli`` loads no
+kernel and no command module.  Each handler imports the one command module
+it runs (``enumeration``, ``chains``, ``antichains``, ``complements``,
+``ortho`` or ``cardinal``) as ``import pilat.x as y``, the cheapest import
+form to repeat on every request.  Each finite handler that uses a
+``partitions`` name itself, and ``_hasse_dot`` and ``_read_file``, import
+``pilat.partitions as pa`` the same way; ``complements census`` and ``ortho
+witness`` load it through their command module, and ``cardinal eval``
+never loads it.
 
 A partition file (``chains verify FILE``, ``hasse --chain``/``--antichain``)
 holds one literal per non-blank line over {0..n-1}, where n is the first
@@ -61,14 +64,13 @@ from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
 from ._frozen import FrozenRecord
-from .partitions import (Partition, _check_cap, _format_many, _LineError, _parse_many, bottom, cap,
-                         top)
 
 if TYPE_CHECKING:
     import argparse
     from typing import TypeVar
 
     from . import cardinal
+    from .partitions import Partition
 
     _T = TypeVar("_T")
 
@@ -81,6 +83,8 @@ def _read_file(path: str, read: Callable[[Sequence[str], int], _T]) -> _T:
     """``read(lines, n)`` on the non-blank lines of a partition file, where
     n is the first line's token count.  An error names the file, and a
     ``_LineError`` also the bad line's 1-based number, blank lines counted."""
+    import pilat.partitions as pa
+
     try:
         with open(path, encoding="utf-8") as fh:
             numbered = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
@@ -91,7 +95,7 @@ def _read_file(path: str, read: Callable[[Sequence[str], int], _T]) -> _T:
     numbers, lines = zip(*numbered)
     try:
         return read(lines, len(lines[0].replace("|", " ").split()))
-    except _LineError as exc:
+    except pa._LineError as exc:
         raise ValueError(f"{path}:{numbers[exc.index]}: {exc}") from exc
 
 
@@ -104,19 +108,21 @@ def _yesno(flag: bool) -> str:
 
 def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     import pilat.enumeration as en
+    import pilat.partitions as pa
 
     if args.counts:
         bell_n = en.bell(args.n)  # checks the counting cap before 2^(n-1) is built
-        atom_count = en._cover_counts(bottom(args.n))[1]
-        coatom_count = en._cover_counts(top(args.n))[0]
+        atom_count = en._cover_counts(pa.bottom(args.n))[1]
+        coatom_count = en._cover_counts(pa.top(args.n))[0]
         return 0, [f"n={args.n} bell={bell_n} atoms={atom_count} coatoms={coatom_count}"]
     return 0, en._partition_lines(args.n)
 
 
 def _cmd_keyframe(args) -> tuple[int, list[str]]:
     import pilat.chains as ch
+    import pilat.partitions as pa
 
-    return 0, _format_many(ch.keyframe_chain(args.k))
+    return 0, pa._format_many(ch.keyframe_chain(args.k))
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
@@ -133,14 +139,15 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
 
 def _cmd_antichains(args) -> tuple[int, Iterable[str]]:
     import pilat.antichains as ac
+    import pilat.partitions as pa
 
     if args.antichain_kind == "bipartition" and not args.verify:
         return 0, ac._bipartition_lines(args.n)  # 2^(n-1) - 1 lines, streamed
     members = (ac.doubleton_antichain(args.n) if args.antichain_kind == "doubleton"
                else ac.bipartition_antichain(args.n))
     if not args.verify:
-        return 0, _format_many(members)
-    check_max = args.n <= cap("antichain maximality")
+        return 0, pa._format_many(members)
+    check_max = args.n <= pa.cap("antichain maximality")
     report = ac.verify_antichain(members, args.n, check_maximal=check_max)
     out = [f"size: {len(members)}",
            f"antichain: {_yesno(report.is_antichain)}",
@@ -172,11 +179,12 @@ def _cmd_witness(args) -> tuple[int, list[str]]:
 
 def _cmd_search(args) -> tuple[int, list[str]]:
     import pilat.ortho as ortho
+    import pilat.partitions as pa
 
     found = ortho.search_orthocomplementation(args.n, exhaustive=args.exhaustive)
     if found is None:
         return 0, ["none"]
-    text = dict(zip(found, _format_many(found)))  # keys: Pi_n in RGS order, each image a key
+    text = dict(zip(found, pa._format_many(found)))  # keys: Pi_n in RGS order, each image a key
     return 0, ["found", *(f"{text[a]} -> {text[b]}" for a, b in found.items())]
 
 
@@ -184,8 +192,11 @@ def _load_model(source: str, card: ModuleType) -> cardinal.ContinuumModel:
     """GCH, or the model in a JSON file; an error in the file names it.
     ``card`` is the ``cardinal`` module, which the caller has imported.
 
-    A file nested past the cap is refused before it is decoded, so the
-    answer does not depend on the decoder's own recursion limits."""
+    A file nested past the cap is refused before it is decoded, so past
+    the cap the answer does not depend on the decoder's own recursion
+    limits.  Within it, a C decoder before 3.12 counts its nesting against
+    the Python recursion limit and can still overflow on a deep stack; that
+    RecursionError is the same refusal."""
     if source == "gch":
         return card.GCH
     import json
@@ -210,7 +221,9 @@ def _cmd_cardinal(args) -> tuple[int, list[str]]:
 
 
 def _hasse_dot(parts: list[Partition]) -> list[str]:
-    labels = _format_many(parts)  # by index, so a repeated input line repeats its node
+    import pilat.partitions as pa
+
+    labels = pa._format_many(parts)  # by index, so a repeated input line repeats its node
     lines = [HASSE_VERSION, "digraph partitions {", "  rankdir=BT;"]
     lines += [f'  "{label}";' for label in labels]
     by_count: dict[int, list[int]] = {}
@@ -241,13 +254,15 @@ def _cmd_hasse(args) -> tuple[int, list[str]]:
     sources = [src for src in (args.n, args.chain, args.antichain) if src is not None]
     if len(sources) != 1:
         raise ValueError("give exactly one of --n, --chain, --antichain")
+    import pilat.partitions as pa
+
     if args.n is not None:
         import pilat.enumeration as en
 
-        _check_cap(args.n, "hasse")
+        pa._check_cap(args.n, "hasse")
         parts = list(en.iter_partitions(args.n))
     else:
-        parts = _read_file(sources[0], _parse_many)
+        parts = _read_file(sources[0], pa._parse_many)
     return 0, _hasse_dot(parts)
 
 

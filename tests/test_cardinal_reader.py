@@ -430,6 +430,21 @@ def test_model_key_answers_at_the_cap(capsys, tmp_path):
         lambda: _run_model(capsys, tmp_path, _model_with_key(NEST_CAP))) == (0, "fin(1)\n", "")
 
 
+def test_model_at_the_cap_is_refused_from_a_little_stack(capsys, tmp_path):
+    # NEST_CAP brackets pass the pre-scan, so the file is decoded.  Before
+    # 3.12 the C decoder counts its nesting against the Python recursion
+    # limit and overflows on this stack; _load_model turns that into the
+    # nesting refusal.  From 3.12 on it does not, and the decoded list is
+    # not a model.
+    text = "[" * NEST_CAP + "]" * NEST_CAP
+    reason = ("JSON nested too deeply" if sys.version_info < (3, 12)
+              else "model file must hold a JSON object")
+    assert _on_little_stack(lambda: _run_model(capsys, tmp_path, text)) == (
+        2, "", f"error: MODEL: {reason}\n")
+    assert _run_model(capsys, tmp_path, text) == (
+        2, "", "error: MODEL: model file must hold a JSON object\n")
+
+
 def test_deep_ordinals_compare_on_little_stack(capsys, tmp_path):
     # the two differ only at the innermost level, so comparing walks every level
     low, high = _nested(NEST_CAP, "1"), _nested(NEST_CAP, "2")

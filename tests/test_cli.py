@@ -1112,7 +1112,11 @@ FINITE_COMMAND_MODULES = ["pilat.antichains", "pilat.chains", "pilat.complements
 
 @pytest.mark.parametrize("argv, absent", [
     (["enumerate", "--n", "3"], ["pilat.cardinal", *FINITE_COMMAND_MODULES]),
-    (["cardinal", "eval", "aleph(1)"], ["pilat.enumeration", *FINITE_COMMAND_MODULES]),
+    (["cardinal", "eval", "aleph(1)"],
+     ["pilat.enumeration", "pilat.partitions", *FINITE_COMMAND_MODULES]),
+    # not plain (an "=" option), so argparse reads it
+    (["cardinal", "eval", "aleph(1)", "--model=gch"],
+     ["pilat.enumeration", "pilat.partitions", *FINITE_COMMAND_MODULES]),
 ])
 def test_each_command_loads_only_the_modules_it_runs(argv, absent):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -1120,9 +1124,25 @@ def test_each_command_loads_only_the_modules_it_runs(argv, absent):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["import"] == ["pilat", "pilat._frozen", "pilat.cli", "pilat.partitions"]
+    assert report["import"] == ["pilat", "pilat._frozen", "pilat.cli"]  # no kernel
     assert report["answer"] == [0, True]
     assert not set(absent) & set(report["request"])
+
+
+def test_bad_line_of_a_file_is_named_in_a_fresh_interpreter(tmp_path):
+    # _read_file imports the partitions kernel in its own body; its _LineError
+    # must still give the file and line when nothing has loaded the kernel yet
+    chain = tmp_path / "chain.txt"
+    chain.write_text("0|1|2\n0 1|x\n0 1 2\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", LOADING_PROBE, src,
+                           "chains", "verify", str(chain)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert "pilat.partitions" not in report["import"]
+    assert report["answer"] == [2, False]  # exit 2, nothing on stdout
+    assert proc.stderr.startswith(f"error: {chain}:2: ")
 
 
 def test_package_exports_resolve_lazily_to_their_submodules():
