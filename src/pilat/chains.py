@@ -8,18 +8,18 @@ inserted anywhere".  Every maximal chain of Pi_n has exactly n elements.
 
 A chain file (``chains verify FILE``) is read by ``_verify_lines`` as the
 differences between consecutive lines.  Each line is split once into block
-texts and kept as a set of strings.  One symmetric difference with the
-previous line's set finds the texts that changed, and only those are mapped
-to masks, through one ``_BlockMasks`` memo; the new masks must tile exactly
-the elements of the dropped ones.  Whether a pair is strictly increasing is
-read off its unshared masks alone.  A step that adds one block has just
-been shown to make it the union of the dropped ones, so it increases
-exactly when it drops more than one; any other step takes ``_refines``.
-The verdict is read off those answers and each line's block count:
-``verify_chain`` and the reader share ``_verdict``, the one order of the
-checks.  A line the reader cannot accept (a padded token such as ``07``, a
-repeated block, any error) sends the whole file to the full parse and
-``verify_chain``, which reports exactly as a file of partitions is
+texts and kept as a set of strings.  Two set differences with the previous
+line's set find the texts it drops and the texts it adds, and only those
+are mapped to masks, through one ``_BlockMasks`` memo; the new masks must
+tile exactly the elements of the dropped ones.  Whether a pair is strictly
+increasing is read off its unshared masks alone.  A step that adds one
+block has just been shown to make it the union of the dropped ones, so it
+increases exactly when it drops more than one; any other step takes
+``_refines``.  The verdict is read off those answers and each line's block
+count: ``verify_chain`` and the reader share ``_verdict``, the one order
+of the checks.  A line the reader cannot accept (a padded token such as
+``07``, a repeated block, any error) sends the whole file to the full parse
+and ``verify_chain``, which reports exactly as a file of partitions is
 reported everywhere else.  That fallback is internal: ``_verify_lines``
 returns the report, or raises the full parse's ``_LineError``, and never
 asks its caller to parse.  ``enumerate_maximal_chains`` walks
@@ -123,14 +123,14 @@ def _verify_lines(lines: Sequence[str], n: int) -> ChainReport:
     for line in lines:
         texts = line.strip().split("|")
         now = set(texts)
-        before ^= now  # the texts of one of the two lines only
-        added = before & now
+        if len(now) != len(texts):  # a repeated block
+            break
         try:
-            gone = list(map(mask_of, before - added)) if counts else [memo.full]
-            new = list(map(mask_of, added))
+            gone = list(map(mask_of, before - now)) if counts else [memo.full]
+            new = list(map(mask_of, now - before))
         except KeyError:
             break
-        if len(now) != len(texts) or not _tiles(new, sum(gone)):
+        if not _tiles(new, sum(gone)):
             break
         if counts:
             if len(new) == 1:  # by ``_tiles``, the union of the dropped blocks

@@ -21,20 +21,21 @@ which takes an optional "-" and ASCII digits and nothing else.
 
 Each ``_cmd_*`` handler returns ``(exit_code, lines)`` and writes nothing.
 ``lines`` is any iterable of lines: a list, or an iterator that builds the
-lines as they are written (``enumerate`` and the ``antichains bipartition``
-listing, so that their memory does not grow with the output).  Every check
-that can refuse runs before the handler returns; an iterator it returns
-only produces lines.  ``main`` is the one writer: after the handler has
-returned, it opens ``--output`` when that option is set, otherwise it uses
-stdout, and writes the lines, each ending in a newline, in chunks of
-``_CHUNK`` lines.  A handler that raises has written nothing, so exit 2
-leaves stdout empty and no ``--output`` file is opened.  A write that fails
-also exits 2, and what was written before it stays.  A closed pipe on
-stdout is the one exception: when its reader leaves early (``| head -1``)
-the writing stops quietly, nothing goes to stderr and the exit code is the
-handler's; ``entry`` points stdout at the null device, so that the flush at
-interpreter exit reports nothing either.  The experiment scripts run their
-``main`` through ``entry(main)``, and one that a closed pipe cuts off exits 0.
+lines as they are written (``enumerate``, the ``antichains bipartition``
+listing and the ``complements census`` rows, so that their memory does not
+grow with the output).  Every check that can refuse runs before the handler
+returns; an iterator it returns only produces lines.  ``main`` is the one
+writer: after the handler has returned, it opens ``--output`` when that
+option is set, otherwise it uses stdout, and writes the lines, each ending
+in a newline, in chunks of ``_CHUNK`` lines.  A handler that raises has
+written nothing, so exit 2 leaves stdout empty and no ``--output`` file is
+opened.  A write that fails also exits 2, and what was written before it
+stays.  A closed pipe on stdout is the one exception: when its reader
+leaves early (``| head -1``) the writing stops quietly, nothing goes to
+stderr and the exit code is the handler's; ``entry`` points stdout at the
+null device, so that the flush at interpreter exit reports nothing either.
+The experiment scripts run their ``main`` through ``entry(main)``, and one
+that a closed pipe cuts off exits 0.
 
 Each request loads only what it runs, so ``import pilat.cli`` loads no
 kernel and no command module.  Each handler imports the one command module
@@ -158,15 +159,11 @@ def _cmd_antichains(args) -> tuple[int, Iterable[str]]:
     return 0 if ok else 1, out
 
 
-def _cmd_complements(args) -> tuple[int, list[str]]:
+def _cmd_complements(args) -> tuple[int, Iterable[str]]:
     import pilat.complements as co
 
-    # no field holds a comma, quote or newline, so no CSV quoting is needed
-    lines = [CENSUS_VERSION, "partition,m,block_sizes,total,count_nm1,grieser"]
-    for p, total, count_nm1 in co.complement_census(args.n):
-        sizes = "+".join(map(str, p.block_sizes))
-        lines.append(f"{p},{p.block_count},{sizes},{total},{count_nm1},{co.grieser_count(p)}")
-    return 0, lines
+    header = [CENSUS_VERSION, "partition,m,block_sizes,total,count_nm1,grieser"]
+    return 0, itertools.chain(header, co._census_lines(args.n))  # B(n) rows, streamed
 
 
 def _cmd_witness(args) -> tuple[int, list[str]]:

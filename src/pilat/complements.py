@@ -19,7 +19,10 @@ element may join.
 The census visits no candidate Q.  Relabelling the ground set maps
 complements to complements, so a partition's two counts depend only on its
 block sizes, and ``_complement_counts`` reads them from those sizes alone,
-by a transfer over p's blocks.
+by a transfer over p's blocks.  ``complement_census`` yields the counts
+beside each partition; the CLI's rows come from ``_census_lines``, which
+builds them as text from the RGS walk (see ``enumeration``) and builds no
+partition.
 """
 from __future__ import annotations
 
@@ -27,9 +30,9 @@ import itertools
 from math import comb, perm, prod
 from typing import Iterator, Mapping
 
-from .enumeration import iter_partitions
-from .partitions import (Partition, _check_cap, _join_masks, _mask_elements, _trusted,
-                         _with_singletons)
+from .enumeration import _rgs_nodes, iter_partitions
+from .partitions import (Partition, _BlockTexts, _check_cap, _join_masks, _mask_elements,
+                         _trusted, _with_singletons)
 
 
 def is_complement(p: Partition, q: Partition) -> bool:
@@ -158,11 +161,15 @@ def grieser_count(p: Partition) -> int:
     (n - m + 1)^(m - 2).  The one-block partition counts 1 (its only
     complement is bottom), as does the n = 0 empty partition.
     """
-    m = p.block_count
+    return _grieser_product(p.block_sizes, p.n)
+
+
+def _grieser_product(sizes: tuple[int, ...], n: int) -> int:
+    """``grieser_count`` of a partition of {0..n-1} with these block sizes, in any order."""
+    m = len(sizes)
     if m <= 1:
         return 1
-    n = p.n
-    return prod(p.block_sizes) * (n - m + 1) ** (m - 2)
+    return prod(sizes) * (n - m + 1) ** (m - 2)
 
 
 def _pick_pivot(p: Partition) -> int:
@@ -286,13 +293,60 @@ def complement_census(n: int) -> Iterator[tuple[Partition, int, int]]:
     Both are counted from p's block sizes, and no candidate is visited.
     Bottom and top are kept (each has the single complement top resp.
     bottom).  n = 0 is rejected: the empty partition is its own complement
-    but has no block to count, so the n - m + 1 count is meaningless.
+    but has no block to count, so the n - m + 1 count is meaningless.  The
+    CLI's rows come from ``_census_lines``, which builds no partition.
     """
+    _check_census(n)
+    return ((p, *_complement_counts(p.block_sizes, n - p.block_count + 1))
+            for p in iter_partitions(n))
+
+
+def _check_census(n: int) -> None:
     _check_cap(n, "census")
     if n == 0:
         raise ValueError("census needs n >= 1")
-    return ((p, *_complement_counts(p.block_sizes, n - p.block_count + 1))
-            for p in iter_partitions(n))
+
+
+def _census_lines(n: int) -> Iterator[str]:
+    """The CSV row ``partition,m,block_sizes,total,count_nm1,grieser`` of each
+    triple that ``complement_census(n)`` yields, in the same order.
+
+    The rows are built as text by the third consumer of
+    ``enumeration._rgs_nodes``: the leaves' literals as ``_rgs_lines``
+    builds them, through one ``_BlockTexts`` for the whole run, and each
+    leaf's block sizes read off the node's live masks.  Refused at call
+    time, as ``complement_census`` refuses.
+    """
+    _check_census(n)
+    return _census_rows(n)  # not a generator itself: the checks run at call time
+
+
+def _census_rows(n: int) -> Iterator[str]:
+    text = _BlockTexts().__getitem__  # blocks of 0..n-2: at most 2^(n-1) texts
+    last = str(n - 1)
+    tail = " " + last
+    for masks in _rgs_nodes(n):
+        texts = list(map(text, masks))
+        full = "|".join(texts)
+        sizes = [mask.bit_count() for mask in masks]
+        end = 0
+        for j, t in enumerate(texts):
+            end += len(t)  # block j's text ends at full[end]
+            sizes[j] += 1  # n - 1 joins block j
+            yield _census_row(full[:end] + tail + full[end:], sizes, n)
+            sizes[j] -= 1
+            end += 1
+        sizes.append(1)  # n - 1 alone
+        yield _census_row(f"{full}|{last}" if masks else last, sizes, n)
+
+
+def _census_row(literal: str, sizes: list[int], n: int) -> str:
+    # no field holds a comma, quote or newline, so no CSV quoting is needed
+    shape = tuple(sorted(sizes, reverse=True))
+    m = len(shape)
+    total, count_nm1 = _complement_counts(shape, n - m + 1)
+    return (f"{literal},{m},{'+'.join(map(str, shape))},{total},{count_nm1},"
+            f"{_grieser_product(shape, n)}")
 
 
 def _complement_counts(sizes: tuple[int, ...], target: int) -> tuple[int, int]:

@@ -11,7 +11,7 @@ up by undoing that placement; its state is the label of each placed element
 and the list of open block masks, changed in place.  It stops one level
 short of the leaves: once elements 0..n-2 are placed it yields the live
 mask list, and each placement of element n - 1 into an open block or a new
-one is a leaf.  The walk has two consumers:
+one is a leaf.  The walk has three consumers:
 
 * ``_rgs_partitions`` (behind ``iter_partitions``) puts n - 1 into each
   open block in turn and then into a new block, copying out a partition
@@ -20,7 +20,11 @@ one is a leaf.  The walk has two consumers:
   builds the same leaves as text and no partition: the open blocks' texts
   joined by "|" are the line of the new-block leaf without its "|n-1",
   and the leaf that puts n - 1 into block j inserts " n-1" at the end of
-  block j's text, n - 1 being the largest element.
+  block j's text, n - 1 being the largest element;
+* ``complements._census_lines`` (the ``complements census`` rows) builds
+  each leaf's literal as ``_rgs_lines`` does and reads its block sizes off
+  the live masks: their bit counts, with 1 added to the block that takes
+  n - 1, or a new block of size 1.
 
 ``complements.enumerate_complements`` is a pruned copy of this walk;
 ``antichains._incomparable`` is a copy that visits every node, and skips

@@ -1,5 +1,6 @@
 """Oracles shared by the test modules: slow, obviously right, not in the package."""
-from pilat import Cardinal, Ordinal, Partition, is_complement, iter_partitions
+from pilat import (Cardinal, Ordinal, Partition, complement_census, grieser_count, is_complement,
+                   iter_partitions)
 from pilat.partitions import _check_cap
 
 ORACLE_CAP = 7
@@ -9,6 +10,17 @@ def naive_complements(p: Partition) -> list[Partition]:
     """Oracle: filter the whole lattice.  Only sensible for small n."""
     _check_cap(p.n, "complement oracle", ORACLE_CAP)
     return [q for q in iter_partitions(p.n) if is_complement(p, q)]
+
+
+def census_rows(n: int) -> list[str]:
+    """Oracle: the CSV rows of ``complements census --n n`` without its two
+    header lines, formatted from ``complement_census(n)`` and
+    ``grieser_count`` one partition at a time."""
+    rows = []
+    for p, total, count_nm1 in complement_census(n):
+        sizes = "+".join(map(str, p.block_sizes))
+        rows.append(f"{p},{p.block_count},{sizes},{total},{count_nm1},{grieser_count(p)}")
+    return rows
 
 
 def relative_complement_in(b: Partition, a: Partition, c: Partition) -> Partition | None:

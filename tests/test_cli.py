@@ -898,12 +898,63 @@ def test_closed_pipe_stops_the_output_quietly():
     assert (rc, err) == (0, b"")
 
 
+class _ClosedPipe:
+    """A stdout whose reader has left: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    """Replace ``module.name`` for this test by a wrapper that adds its calls to ``calls[name]``."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _census_calls(monkeypatch):
+    """The complement-count kernel's calls and the enumerator's, counted."""
+    from pilat import complements, enumeration
+
+    calls = {"_complement_counts": 0, "iter_partitions": 0}
+    _count_calls(monkeypatch, calls, complements, "_complement_counts")
+    for module in (complements, enumeration):
+        _count_calls(monkeypatch, calls, module, "iter_partitions")
+    return calls
+
+
+def test_census_stops_at_a_closed_pipe(monkeypatch):
+    # the census rows are built as they are written, as text from the walk:
+    # a reader gone at the first write stops the census within one chunk,
+    # where the whole census of Pi_9 runs the kernel B(9) = 21 147 times
+    calls = _census_calls(monkeypatch)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["complements", "census", "--n", "9"]) == 0
+    assert 0 < calls["_complement_counts"] <= _CHUNK
+    assert calls["iter_partitions"] == 0
+
+
+def test_census_runs_the_kernel_once_per_row(capsys, monkeypatch):
+    # no memo by block shape: B(7) = 877 rows, 877 kernel calls
+    calls = _census_calls(monkeypatch)
+    rc, out, err = run(capsys, "complements", "census", "--n", "7")
+    assert rc == 0 and err == "" and out.count("\n") == 2 + 877
+    assert calls == {"_complement_counts": 877, "iter_partitions": 0}
+
+
 # The listings main writes as they are built; each refuses before its first line.
 STREAMED_REFUSALS = [
     ((), ("enumerate", "--n", "13")),
     (("PILAT_MAX_N", "3"), ("enumerate", "--n", "4")),
     ((), ("antichains", "bipartition", "--n", "1")),
     ((), ("antichains", "bipartition", "--n", "129")),
+    ((), ("complements", "census", "--n", "0")),
+    ((), ("complements", "census", "--n", "10")),
+    (("PILAT_MAX_N", "3"), ("complements", "census", "--n", "4")),
 ]
 
 

@@ -25,9 +25,9 @@ from pilat import (
     split_transversal_family,
     top,
 )
-from pilat.complements import _complement_counts
+from pilat.complements import _census_lines, _complement_counts
 from pilat.partitions import CAPS
-from oracles import naive_complements, relative_complement_in
+from oracles import census_rows, naive_complements, relative_complement_in
 from strats import partitions
 from test_census_closed_form import complement_total
 
@@ -420,6 +420,27 @@ def test_census_rejects_bad_n():
         complement_census(0)
     with pytest.raises(ValueError, match="cap"):
         complement_census(10)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_census_lines_are_the_formatted_census(n):
+    # the rows built as text against the rows formatted from the triples
+    lines = _census_lines(n)
+    assert iter(lines) is lines  # a stream of rows, not a list
+    assert list(lines) == census_rows(n)
+
+
+@pytest.mark.parametrize("env,n,message", [
+    (None, 0, "^census needs n >= 1$"),
+    (None, 10, "^census cap 9: n=10 outside 0..9$"),
+    ("3", 4, "^census cap 3: n=4 outside 0..3$"),
+])
+def test_census_lines_refuse_at_call_time(monkeypatch, env, n, message):
+    monkeypatch.delenv("PILAT_MAX_N", raising=False)
+    if env is not None:
+        monkeypatch.setenv("PILAT_MAX_N", env)
+    with pytest.raises(ValueError, match=message):
+        _census_lines(n)  # raises before any row is asked for
 
 
 # -------------------------------------------------- relative complementation
